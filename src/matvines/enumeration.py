@@ -4,10 +4,14 @@ closed-form counts, and the bulk strong-chordality agreement driver."""
 
 from __future__ import annotations
 
+import logging
 import random
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import or_
+from typing import Iterator
 
 import networkx as nx
 
@@ -19,6 +23,8 @@ from .labeled_graph import Graph, LabeledGraph, find_mat_labeling
 from .vine_poset import VinePoset
 
 DEFAULT_DIMENSION_BOUND = 7
+
+logger = logging.getLogger("matvines")
 
 
 def _label_matrix(g: LabeledGraph) -> tuple[int, list[list[int]]]:
@@ -406,6 +412,7 @@ def enumerate_mat_labelings_complete(
 class AgreementReport:
     vertex_count: int
     graph_count: int
+    class_count: int
     strongly_chordal_count: int
     labelable_count: int
     discrepancies: tuple[int, ...]
@@ -413,79 +420,142 @@ class AgreementReport:
 
     def to_json(self) -> dict:
         return {"n": self.vertex_count, "graphs": self.graph_count,
+                "classes": self.class_count,
                 "strongly_chordal": self.strongly_chordal_count,
                 "labelable": self.labelable_count,
                 "discrepancies": len(self.discrepancies),
                 "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
+# 8! edge permutations of 28-bit masks do not fit the orbit tables; n=8
+# needs isomorph-free generation instead of a sweep over masks.
+AGREEMENT_VERTEX_BOUND = 7
+
+
+def _orbit_tables(n: int, pairs: list[tuple[int, int]]) -> list[list[array]]:
+    """Images of edge masks under every vertex permutation, byte by byte.
+
+    ``tables[b][v][p]`` is the image of the mask ``v << 8*b`` under the
+    p-th permutation, so the images of a whole mask are the bitwise or of
+    one array per byte of it.
+    """
+    index = {}
+    for e, (i, j) in enumerate(pairs):
+        index[i, j] = index[j, i] = e
+    perms = list(permutations(range(n)))
+    m = len(pairs)
+    tables = []
+    for low in range(0, max(m, 1), 8):
+        table = [array("I", bytes(4 * len(perms)))]
+        for e in range(low, min(low + 8, m)):
+            i, j = pairs[e]
+            bit = array("I", [1 << index[p[i], p[j]] for p in perms])
+            # entries 2^k .. 2^(k+1)-1 are entries 0 .. 2^k-1 plus bit k
+            table += [array("I", map(or_, t, bit)) for t in table]
+        tables.append(table)
+    return tables
+
+
+def _isomorphism_classes(n: int, pairs: list[tuple[int, int]]
+                         ) -> Iterator[tuple[int, set[int]]]:
+    """Each isomorphism class of graphs on n labeled vertices, as its
+    smallest edge mask and the set of masks in its orbit."""
+    tables = _orbit_tables(n, pairs)
+    seen = bytearray(1 << len(pairs))
+    rep = 0
+    while rep != -1:
+        images = tables[0][rep & 255]
+        for b in range(1, len(tables)):
+            images = map(or_, images, tables[b][rep >> 8 * b & 255])
+        orbit = set(images)
+        for mask in orbit:
+            seen[mask] = 1
+        yield rep, orbit
+        rep = seen.find(0, rep + 1)
+
+
+def _decide(n: int, pairs: list[tuple[int, int]], mask: int) -> tuple[bool, bool]:
+    """(strongly chordal, labelable) for one graph, deciding each connected
+    component on three or more vertices with both kernels."""
+    adj = [0] * n
+    for e, (i, j) in enumerate(pairs):
+        if mask >> e & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    sc = True
+    mat = True
+    for comp in _bits.components(n, adj, (1 << n) - 1):
+        cnt = comp.bit_count()
+        if cnt <= 2:
+            continue
+        verts = list(_bits.iter_bits(comp))
+        cadj = [0] * cnt
+        for a in range(cnt):
+            va = adj[verts[a]]
+            for b in range(a + 1, cnt):
+                if va >> verts[b] & 1:
+                    cadj[a] |= 1 << b
+                    cadj[b] |= 1 << a
+        sc &= _bits.is_strongly_chordal_fast(cnt, cadj)
+        mat &= _bits.find_mat_labeling(cnt, cadj) is not None
+        if not sc and not mat:
+            break
+    return sc, mat
+
+
 def mat_sc_agreement(n: int, progress: bool = False) -> AgreementReport:
     """Exhaustively compare labelability with strong chordality over every
     graph on n labeled vertices.
 
-    Both deciders run per connected component; results for components on
-    fewer than n vertices are memoized, which is what keeps the n=7 sweep
-    inside its time budget.
+    Both properties are invariant under relabeling the vertices, so each
+    isomorphism class is decided once, on its smallest edge mask, and its
+    answer counts for every mask in its orbit.  Orbits come from tables of
+    the edge permutations induced by all n! vertex permutations; the orbit
+    sizes must sum to exactly 2^m over the m vertex pairs, otherwise the
+    sweep raises :class:`InternalDefectError`.  ``discrepancies`` lists every
+    disagreeing labeled mask, whole orbits, in ascending order.  With
+    ``progress`` the sweep logs the classes decided and the share of masks
+    covered to the ``matvines`` logger at INFO level.  Sweeps above
+    ``AGREEMENT_VERTEX_BOUND`` vertices are refused.
     """
+    if n < 0:
+        raise GraphInputError("vertex count must not be negative")
+    if n > AGREEMENT_VERTEX_BOUND:
+        raise ResourceLimitError(
+            f"agreement sweep over {n} vertices exceeds the bound "
+            f"{AGREEMENT_VERTEX_BOUND}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
-    total = 1 << m
-    memo: dict[tuple[int, int], tuple[bool, bool]] = {}
-    full = (1 << n) - 1
+    total = 1 << len(pairs)
     start = time.perf_counter()
+    classes = 0
+    covered = 0
     sc_count = 0
     mat_count = 0
     bad: list[int] = []
     report_every = max(total // 20, 1)
-    for mask in range(total):
-        if progress and mask % report_every == 0 and mask:
-            pct = 100.0 * mask / total
-            print(f"  agreement sweep n={n}: {pct:.0f}%", flush=True)
-        adj = [0] * n
-        mm = mask
-        while mm:
-            b = mm & -mm
-            i, j = pairs[b.bit_length() - 1]
-            mm ^= b
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        sc = True
-        mat = True
-        for comp in _bits.components(n, adj, full):
-            cnt = comp.bit_count()
-            if cnt <= 2:
-                continue
-            verts = list(_bits.iter_bits(comp))
-            cadj = [0] * cnt
-            key = 0
-            shift = 0
-            for a in range(cnt):
-                va = adj[verts[a]]
-                for b2 in range(a + 1, cnt):
-                    if va >> verts[b2] & 1:
-                        cadj[a] |= 1 << b2
-                        cadj[b2] |= 1 << a
-                        key |= 1 << shift
-                    shift += 1
-            if cnt < n:
-                res = memo.get((cnt, key))
-                if res is None:
-                    res = (_bits.is_strongly_chordal_fast(cnt, cadj),
-                           _bits.find_mat_labeling(cnt, cadj) is not None)
-                    memo[(cnt, key)] = res
-            else:
-                res = (_bits.is_strongly_chordal_fast(cnt, cadj),
-                       _bits.find_mat_labeling(cnt, cadj) is not None)
-            sc = sc and res[0]
-            mat = mat and res[1]
-            if not sc and not mat:
-                break
-        sc_count += sc
-        mat_count += mat
+    next_report = report_every
+    for rep, orbit in _isomorphism_classes(n, pairs):
+        sc, mat = _decide(n, pairs, rep)
+        size = len(orbit)
+        classes += 1
+        covered += size
+        sc_count += sc * size
+        mat_count += mat * size
         if sc != mat:
-            bad.append(mask)
+            bad.extend(orbit)
+        if progress and (covered >= next_report or covered == total):
+            logger.info("agreement sweep n=%d: %d classes decided, %.0f%% of "
+                        "masks covered", n, classes, 100.0 * covered / total)
+            next_report = covered + report_every
+    if covered != total:
+        raise InternalDefectError(
+            f"orbit sizes sum to {covered}, not to the {total} graphs on "
+            f"{n} vertices")
     elapsed = (time.perf_counter() - start) * 1000.0
-    return AgreementReport(n, total, sc_count, mat_count, tuple(bad), elapsed)
+    return AgreementReport(
+        vertex_count=n, graph_count=total, class_count=classes,
+        strongly_chordal_count=sc_count, labelable_count=mat_count,
+        discrepancies=tuple(sorted(bad)), elapsed_ms=elapsed)
 
 
 def random_chordal_graph(rng: random.Random, n_vertices: int) -> Graph:

@@ -774,12 +774,16 @@ def d_vine(dimension: int) -> VinePoset:
     if dimension < 1:
         raise PosetInputError("dimension must be at least 1")
     names = [str(t) for t in range(1, dimension + 1)]
+    ids = assign_union_names(
+        ((frozenset(names[i - 1:j]), frozenset((names[i - 1], names[j - 1])),
+          frozenset(names[i:j - 1]))
+         for i in range(1, dimension + 1) for j in range(i + 1, dimension + 1)),
+        reserved=names)
 
     def node_id(i: int, j: int) -> str:
         if i == j:
             return names[i - 1]
-        return cond_display({names[i - 1], names[j - 1]},
-                            {names[t - 1] for t in range(i + 1, j)})
+        return ids[frozenset(names[i - 1:j])]
 
     items = []
     for span in range(dimension):
@@ -796,12 +800,16 @@ def c_vine(dimension: int) -> VinePoset:
     if dimension < 1:
         raise PosetInputError("dimension must be at least 1")
     names = [str(t) for t in range(1, dimension + 1)]
+    ids = assign_union_names(
+        ((frozenset(names[:k] + [names[i - 1]]),
+          frozenset((names[k - 1], names[i - 1])), frozenset(names[:k - 1]))
+         for k in range(1, dimension + 1) for i in range(k + 1, dimension + 1)),
+        reserved=names)
 
     def node_id(k: int, i: int) -> str:
         if k == i:
             return names[k - 1]
-        return cond_display({names[k - 1], names[i - 1]},
-                            {names[t - 1] for t in range(1, k)})
+        return ids[frozenset(names[:k] + [names[i - 1]])]
 
     items = [(names[i - 1], 1, []) for i in range(1, dimension + 1)]
     for k in range(1, dimension):
@@ -861,16 +869,11 @@ def hat(p: VinePoset) -> VinePoset:
     that conversion round trips compare equal.
     """
     _require(p, VineClass.LR_VINE, "hat")
-    unions: dict[str, frozenset[str]] = {}
-    names: dict[frozenset[str], str] = {}
-    for v in p.nodes:
-        u = complete_union(p, v)
-        unions[v] = u
-        if not p.covers_of[v]:
-            names[u] = v
-        else:
-            conditioned, conditioning = cond_sets(p, v)
-            names[u] = cond_display(conditioned, conditioning)
+    names: dict[frozenset[str], str] = {frozenset((v,)): v for v in p.minimals}
+    names.update(assign_union_names(
+        ((complete_union(p, v), *cond_sets(p, v))
+         for v in p.nodes if p.covers_of[v]),
+        reserved=p.minimals))
     if len(names) != len(p.nodes):
         raise InternalDefectError("complete unions are not distinct")
     sets = sorted(names, key=lambda s: (len(s), sorted(s, key=natural_key)))

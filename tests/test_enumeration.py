@@ -1,11 +1,13 @@
 """Canonical forms, isomorphism, the enumeration engine, and the counting
 formulas."""
 
+import logging
 import random
 
 import pytest
 
-from matvines import (GraphInputError, LabeledGraph, ResourceLimitError,
+from matvines import (GraphInputError, InternalDefectError, LabeledGraph,
+                      ResourceLimitError, _bits, enumeration,
                       a047970, are_isomorphic, are_isomorphic_vines,
                       canonical_form, catalan, e_formula,
                       enumerate_mat_labelings_complete, check_mat_labeling,
@@ -170,6 +172,59 @@ class TestEnumerate:
             assert representative_name(4, key).startswith("K4_")
 
 
+def per_mask_agreement(n):
+    """Reference sweep: decide every labeled graph on n vertices on its own,
+    per connected component, memoizing components on fewer than n vertices.
+    Returns (graph count, strongly chordal count, labelable count,
+    disagreeing masks)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total = 1 << len(pairs)
+    memo = {}
+    full = (1 << n) - 1
+    sc_count = mat_count = 0
+    bad = []
+    for mask in range(total):
+        adj = [0] * n
+        mm = mask
+        while mm:
+            b = mm & -mm
+            i, j = pairs[b.bit_length() - 1]
+            mm ^= b
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        sc = mat = True
+        for comp in _bits.components(n, adj, full):
+            cnt = comp.bit_count()
+            if cnt <= 2:
+                continue
+            verts = list(_bits.iter_bits(comp))
+            cadj = [0] * cnt
+            key = 0
+            shift = 0
+            for a in range(cnt):
+                for b2 in range(a + 1, cnt):
+                    if adj[verts[a]] >> verts[b2] & 1:
+                        cadj[a] |= 1 << b2
+                        cadj[b2] |= 1 << a
+                        key |= 1 << shift
+                    shift += 1
+            res = memo.get((cnt, key)) if cnt < n else None
+            if res is None:
+                res = (_bits.is_strongly_chordal_fast(cnt, cadj),
+                       _bits.find_mat_labeling(cnt, cadj) is not None)
+                if cnt < n:
+                    memo[(cnt, key)] = res
+            sc = sc and res[0]
+            mat = mat and res[1]
+            if not sc and not mat:
+                break
+        sc_count += sc
+        mat_count += mat
+        if sc != mat:
+            bad.append(mask)
+    return total, sc_count, mat_count, tuple(bad)
+
+
 class TestAgreementDriver:
     def test_exhaustive_small(self):
         report = mat_sc_agreement(4)
@@ -181,3 +236,65 @@ class TestAgreementDriver:
         report = mat_sc_agreement(5)
         assert report.discrepancies == ()
         assert report.strongly_chordal_count == 822
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_mask_sweep(self, n):
+        report = mat_sc_agreement(n)
+        assert (report.graph_count, report.strongly_chordal_count,
+                report.labelable_count, report.discrepancies) == \
+            per_mask_agreement(n)
+
+    def test_class_counts(self):
+        # OEIS A000088: graphs on n unlabeled vertices
+        assert [mat_sc_agreement(n).class_count for n in range(1, 8)] == \
+            [1, 2, 4, 11, 34, 156, 1044]
+        assert mat_sc_agreement(4).to_json()["classes"] == 11
+
+    def test_discrepancy_lists_the_whole_orbit(self, monkeypatch):
+        # make the labeling search fail on the path on three vertices only;
+        # on four vertices that is the class of two edges sharing a vertex
+        real = _bits.find_mat_labeling
+
+        def fake(n, adj):
+            if n == 3 and sum(a.bit_count() for a in adj) == 4:
+                return None
+            return real(n, adj)
+
+        monkeypatch.setattr(_bits, "find_mat_labeling", fake)
+        report = mat_sc_agreement(4)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        orbit = [mask for mask in range(64) if mask.bit_count() == 2
+                 and len({v for e, pair in enumerate(pairs)
+                          if mask >> e & 1 for v in pair}) == 3]
+        assert len(orbit) == 12
+        assert report.discrepancies == tuple(orbit)
+        assert report.graph_count == 64
+        assert report.strongly_chordal_count == 61
+        assert report.labelable_count == 61 - 12
+
+    def test_orbit_sizes_must_cover_every_graph(self, monkeypatch):
+        real = enumeration._isomorphism_classes
+
+        def short(n, pairs):
+            for rep, orbit in real(n, pairs):
+                yield rep, orbit - {max(orbit)} if len(orbit) > 1 else orbit
+
+        monkeypatch.setattr(enumeration, "_isomorphism_classes", short)
+        with pytest.raises(InternalDefectError, match="orbit sizes"):
+            mat_sc_agreement(4)
+
+    def test_progress_goes_to_the_package_logger(self, caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="matvines"):
+            mat_sc_agreement(5, progress=True)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "matvines"]
+        assert messages
+        assert messages[-1] == ("agreement sweep n=5: 34 classes decided, "
+                                "100% of masks covered")
+        assert capsys.readouterr().out == ""
+
+    def test_bounds(self):
+        with pytest.raises(ResourceLimitError):
+            mat_sc_agreement(8)
+        with pytest.raises(GraphInputError):
+            mat_sc_agreement(-1)

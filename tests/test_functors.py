@@ -121,6 +121,14 @@ class TestRoundtrip:
         for p in (d_vine(5), c_vine(5), truncate(c_vine(4), 3, "lower")):
             assert roundtrip_check(p).verdict.ok
 
+    def test_standard_vines_at_dimension_twelve(self):
+        # the pair {1, 2} displays as "12", which is also element 12
+        from matvines import c_vine, d_vine
+        for p in (d_vine(12), c_vine(12)):
+            assert classify(p).kind == VineClass.R_VINE
+            assert "12#2" in p.rank_of
+            assert roundtrip_check(p).verdict.ok
+
     def test_random_graphs(self):
         rng = random.Random(101)
         for _ in range(20):
