@@ -98,9 +98,7 @@ def cmd_enumerate(args) -> int:
     if args.emit_representatives is not None:
         outdir = Path(args.emit_representatives)
         outdir.mkdir(parents=True, exist_ok=True)
-        for rep in report.representatives or ():
-            n, lab = enumeration._label_matrix(rep)
-            key = enumeration._canonical_key(n, lab)
+        for key, rep in zip(report.keys, report.representatives):
             name = enumeration.representative_name(args.dimension, key)
             io.save_structure(rep, outdir / f"{name}.json")
     _emit(report.to_json())

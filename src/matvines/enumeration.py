@@ -5,12 +5,14 @@ closed-form counts, and the bulk strong-chordality agreement driver."""
 from __future__ import annotations
 
 import logging
+import os
 import random
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterator
 
 import networkx as nx
@@ -310,38 +312,135 @@ def _towers_over_tree(dimension: int, t1_edges: list[tuple[int, int]]):
     yield from descend(child_masks, u_masks, 2)
 
 
-def _labels_to_matrix(dimension: int, labels: dict[int, int]) -> list[list[int]]:
-    lab = [[0] * dimension for _ in range(dimension)]
-    for pair, k in labels.items():
-        i = (pair & -pair).bit_length() - 1
-        j = (pair & (pair - 1)).bit_length() - 1
-        lab[i][j] = lab[j][i] = k
-    return lab
+def _tree_automorphisms(n: int, edges: list[tuple[int, int]]
+                        ) -> list[tuple[int, ...]]:
+    """Every automorphism of a tree on vertices 0..n-1, as the tuple of
+    vertex images.
+
+    Backtracking over a breadth-first order: each vertex goes to an unused
+    neighbour of its parent's image with the same degree.  A bijection that
+    keeps every parent edge an edge maps the n-1 edges onto the n-1 edges,
+    so every full assignment is an automorphism.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = [0]
+    parent = [-1] * n
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    image = [-1] * n
+    used = [False] * n
+    out: list[tuple[int, ...]] = []
+
+    def rec(k: int) -> None:
+        if k == n:
+            out.append(tuple(image))
+            return
+        v = order[k]
+        for c in adj[image[parent[v]]] if k else range(n):
+            if not used[c] and len(adj[c]) == len(adj[v]):
+                image[v] = c
+                used[c] = True
+                rec(k + 1)
+                used[c] = False
+
+    rec(0)
+    return out
 
 
-def _classes_over_tree(dimension: int,
-                       t1: list[tuple[int, int]]) -> set[tuple[int, ...]]:
-    keys: set[tuple[int, ...]] = set()
+def _degree_sequence(edges: list[tuple[int, int]]) -> tuple[int, ...]:
+    degree = Counter(v for edge in edges for v in edge)
+    return tuple(sorted(degree.values(), reverse=True))
+
+
+def _classes_over_tree(dimension: int, t1: list[tuple[int, int]]
+                       ) -> tuple[set[tuple[int, ...]], int, float]:
+    """Canonical keys of the towers over one bottom tree that is not the
+    star, with the number of towers generated and the seconds taken.
+
+    Two towers over T1 are isomorphic exactly when an automorphism of T1
+    maps one onto the other, so each tower is reduced to its orbit key, the
+    least lower-triangle vector over Aut(T1), and ``_canonical_key`` runs
+    once per orbit.
+    """
+    start = time.perf_counter()
+    pairs = [(p, q) for p in range(dimension) for q in range(p)]
+    # moves[s](labels) is the lower-triangle vector of the tower relabeled
+    # by the automorphism s; the identity is among them
+    moves = [itemgetter(*[(1 << s[p]) | (1 << s[q]) for p, q in pairs])
+             for s in _tree_automorphisms(dimension, t1)]
+    orbits: set[tuple[int, ...]] = set()
+    towers = 0
     for labels in _towers_over_tree(dimension, t1):
-        lab = _labels_to_matrix(dimension, labels)
+        towers += 1
+        orbits.add(min([move(labels) for move in moves]))
+    keys = {_canonical_key(dimension, _key_to_matrix(dimension, key))
+            for key in orbits}
+    return keys, towers, time.perf_counter() - start
+
+
+def _star_classes(dimension: int) -> set[tuple[int, ...]]:
+    """Canonical keys of the towers over the star on ``dimension`` vertices,
+    lifted from the classes of dimension - 1.
+
+    Levels 2 and up of a vine over the star form a regular vine on its
+    leaves (upper truncation), and from dimension 3 on every isomorphism
+    between towers over the star fixes the centre, so each class of
+    dimension - 1 gives exactly one class: a centre joined to every leaf by
+    label 1, every other label raised by 1.
+    """
+    start = time.perf_counter()
+    keys = set()
+    for key in _enumerate_classes(dimension - 1):
+        inner = _key_to_matrix(dimension - 1, key)
+        lab = [[0] + [1] * (dimension - 1)]
+        lab += [[1] + [x + 1 if x else 0 for x in row] for row in inner]
         keys.add(_canonical_key(dimension, lab))
+    logger.debug("enumerate d=%d, star: lifted %d classes from d=%d, %.3f s",
+                 dimension, len(keys), dimension - 1,
+                 time.perf_counter() - start)
     return keys
 
 
 def _enumerate_classes(dimension: int, jobs: int = 1) -> set[tuple[int, ...]]:
-    trees = _tree_representatives(dimension)
-    keys: set[tuple[int, ...]] = set()
-    if jobs > 1 and len(trees) > 1:
+    """Canonical keys of the labelings of the complete graph, one per class.
+
+    A label-preserving isomorphism maps the label-1 tree T1 onto T1, so
+    towers over different representative trees never share a class and the
+    key set is the disjoint union of the classes over each tree.  The star
+    takes its classes from dimension - 1 through ``_star_classes``; every
+    other tree goes through ``_classes_over_tree``, in a pool of at most
+    ``jobs`` processes (and no more than trees or cores) while the star runs
+    in this process.
+    Each tree logs its counts and seconds to the ``matvines`` logger at
+    DEBUG level.
+    """
+    if dimension == 1:
+        return {()}  # the one-vertex graph has no pairs to label
+    others = [t1 for t1 in _tree_representatives(dimension)
+              if _degree_sequence(t1)[0] < dimension - 1]
+    workers = min(jobs, len(others), os.cpu_count() or 1)
+    if workers > 1:
         # partitions are independent and set union is order-insensitive,
         # so the result does not depend on scheduling
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_classes_over_tree,
-                                 [dimension] * len(trees), trees):
-                keys |= part
-        return keys
-    for t1 in trees:
-        keys |= _classes_over_tree(dimension, t1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_classes_over_tree,
+                             [dimension] * len(others), others)
+            keys = _star_classes(dimension)
+    else:
+        parts = map(_classes_over_tree, [dimension] * len(others), others)
+        keys = _star_classes(dimension)
+    for t1, (part, towers, seconds) in zip(others, parts):
+        logger.debug("enumerate d=%d, tree with degrees %s: %d towers, "
+                     "%d classes, %.3f s", dimension, _degree_sequence(t1),
+                     towers, len(part), seconds)
+        keys |= part
     return keys
 
 
@@ -352,6 +451,8 @@ class EnumerationReport:
     formula_count: int
     elapsed_ms: float
     representatives: tuple[LabeledGraph, ...] | None = None
+    # the canonical key of each representative, in the same order
+    keys: tuple[tuple[int, ...], ...] | None = None
 
     def to_json(self) -> dict:
         return {"l": self.dimension, "class_count": self.class_count,
@@ -382,10 +483,18 @@ def enumerate_mat_labelings_complete(
         jobs: int = 1) -> EnumerationReport:
     """Count the valid labelings of the complete graph up to isomorphism.
 
-    The search builds level trees bottom-up under the proximity constraint,
-    one bottom tree per isomorphism class, and deduplicates the resulting
-    labelings by canonical form.  Dimensions above the bound are refused
-    unless explicitly allowed; nothing is ever silently truncated.
+    The label-1 edges of a labeling form its bottom tree T1, and an
+    isomorphism maps T1 onto T1, so the classes are counted per bottom tree,
+    one tree per isomorphism class.  Over the star the classes are those of
+    dimension - 1, lifted (levels 2 and up form a regular vine on the
+    leaves).  Over every other tree the search builds the level trees
+    bottom-up under the proximity constraint and identifies two towers when
+    an automorphism of the tree maps one onto the other.  Each class gets
+    its canonical key once; with ``with_representatives`` the report holds
+    one graph per class and its key, sorted by key.  ``jobs`` bounds the
+    worker processes for the trees other than the star.  Dimensions above
+    the bound are refused unless explicitly allowed; nothing is ever
+    silently truncated.
     """
     if dimension < 1:
         raise GraphInputError("dimension must be at least 1")
@@ -396,16 +505,17 @@ def enumerate_mat_labelings_complete(
     start = time.perf_counter()
     keys = _enumerate_classes(dimension, jobs=jobs)
     elapsed = (time.perf_counter() - start) * 1000.0
-    reps = None
+    reps = ordered = None
     if with_representatives:
-        reps = tuple(representative_graph(dimension, key)
-                     for key in sorted(keys))
+        ordered = tuple(sorted(keys))
+        reps = tuple(representative_graph(dimension, key) for key in ordered)
     return EnumerationReport(
         dimension=dimension,
         class_count=len(keys),
         formula_count=e_formula(dimension),
         elapsed_ms=elapsed,
-        representatives=reps)
+        representatives=reps,
+        keys=ordered)
 
 
 @dataclass(frozen=True)

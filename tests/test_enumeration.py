@@ -1,8 +1,13 @@
 """Canonical forms, isomorphism, the enumeration engine, and the counting
 formulas."""
 
+import concurrent.futures
 import logging
+import os
 import random
+import re
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -13,6 +18,7 @@ from matvines import (GraphInputError, InternalDefectError, LabeledGraph,
                       enumerate_mat_labelings_complete, check_mat_labeling,
                       mat_sc_agreement, poset_isomorphism, psi,
                       random_mat_labeled_graph)
+from matvines.cli import main
 from matvines.enumeration import representative_graph, representative_name
 from conftest import five_vertex_graph
 
@@ -170,6 +176,119 @@ class TestEnumerate:
             again = representative_graph(4, key)
             assert are_isomorphic(rep, again)[0]
             assert representative_name(4, key).startswith("K4_")
+
+
+def labels_to_matrix(dimension, labels):
+    lab = [[0] * dimension for _ in range(dimension)]
+    for pair, k in labels.items():
+        i = (pair & -pair).bit_length() - 1
+        j = (pair & (pair - 1)).bit_length() - 1
+        lab[i][j] = lab[j][i] = k
+    return lab
+
+
+def per_tower_classes(dimension, trees=None):
+    """Reference route: the canonical key of every tower over every given
+    bottom tree (by default one tree per isomorphism class)."""
+    if trees is None:
+        trees = enumeration._tree_representatives(dimension)
+    return {enumeration._canonical_key(dimension,
+                                       labels_to_matrix(dimension, labels))
+            for t1 in trees
+            for labels in enumeration._towers_over_tree(dimension, t1)}
+
+
+def star(dimension):
+    return [(0, i) for i in range(1, dimension)]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and runs the work in this process, starting none."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts asked of ProcessPoolExecutor while the test runs."""
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    return sizes
+
+
+class TestEnumerationDriver:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_tower_route(self, dim):
+        assert enumeration._enumerate_classes(dim) == per_tower_classes(dim)
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_star_lift_matches_towers_over_the_star(self, dim):
+        assert enumeration._star_classes(dim) == \
+            per_tower_classes(dim, [star(dim)])
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+    def test_automorphism_group_sizes(self, dim):
+        path = [(i, i + 1) for i in range(dim - 1)]
+        assert len(enumeration._tree_automorphisms(dim, path)) == 2
+        assert len(enumeration._tree_automorphisms(dim, star(dim))) == \
+            factorial(dim - 1)
+
+    @pytest.mark.parametrize("dim", [1, 4, 5, 6])
+    def test_automorphisms_match_brute_force(self, dim):
+        for t1 in enumeration._tree_representatives(dim):
+            edges = set(t1)
+            brute = {p for p in permutations(range(dim))
+                     if {tuple(sorted((p[a], p[b]))) for a, b in t1} == edges}
+            found = enumeration._tree_automorphisms(dim, t1)
+            assert len(found) == len(brute) and set(found) == brute
+
+    @pytest.mark.parametrize("dim, jobs, cores, workers", [
+        (6, 1000, 4, 4), (6, 3, 64, 3), (4, 8, 64, None), (6, 8, 1, None)])
+    def test_pool_size_is_capped(self, monkeypatch, pool_sizes, dim, jobs,
+                                 cores, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        report = enumerate_mat_labelings_complete(dim, jobs=jobs)
+        assert report.class_count == e_formula(dim)
+        assert pool_sizes == ([] if workers is None else [workers])
+
+    def test_cli_jobs_start_no_more_workers_than_trees(self, monkeypatch,
+                                                       pool_sizes, capsys):
+        # two of the three trees on five vertices are not the star
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert main(["enumerate", "5", "--jobs", "1000"]) == 0
+        assert pool_sizes == [2]
+        assert '"class_count": 6' in capsys.readouterr().out
+
+    def test_per_tree_debug_records(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="matvines"):
+            enumerate_mat_labelings_complete(7)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "matvines"]
+        def total(dim, what):
+            return sum(int(re.search(rf"(\d+) {what}", m).group(1))
+                       for m in messages if m.startswith(f"enumerate d={dim},")
+                       and re.search(what, m))
+
+        for dim, classes, trees in ((6, 40, 6), (7, 560, 11)):
+            mine = [m for m in messages if m.startswith(f"enumerate d={dim},")]
+            assert len(mine) == trees
+            stars = [m for m in mine if " star: lifted " in m]
+            assert len(stars) == 1 and f"from d={dim - 1}," in stars[0]
+            assert total(dim, "classes") == classes
+        # 28,240 towers at d=7, 23,040 of them over the star
+        assert total(7, "towers") == 28240 - 23040
 
 
 def per_mask_agreement(n):

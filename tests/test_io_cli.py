@@ -6,7 +6,8 @@ import pytest
 
 import matvines.io as mio
 from matvines import (GraphInputError, LabeledGraph, PosetInputError, c_vine,
-                      d_vine, from_forest_sequence, psi, to_forest_sequence)
+                      canonical_form, d_vine, from_forest_sequence, psi,
+                      to_forest_sequence)
 from matvines.cli import main
 
 
@@ -183,6 +184,18 @@ class TestEnumerateCommand:
         for f in files:
             g = mio.load_structure(f)
             assert g.is_complete()
+
+    def test_emitted_file_names(self, capsys, tmp_path):
+        outdir = tmp_path / "reps"
+        code, doc = run_cli(capsys, "enumerate", "5",
+                            "--emit-representatives", str(outdir))
+        assert code == 0
+        assert sorted(f.name for f in outdir.glob("*.json")) == [
+            "K5_1121231234.json", "K5_1121231324.json", "K5_1121232134.json",
+            "K5_1121232314.json", "K5_1121242133.json", "K5_1122132314.json"]
+        for f in outdir.glob("*.json"):
+            assert canonical_form(mio.load_structure(f)).decode() == \
+                "5:" + ",".join(f.name[3:-5])
 
 
 class TestOtherCommands:
