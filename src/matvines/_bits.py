@@ -37,26 +37,36 @@ def components(n: int, adj: list[int], alive: int) -> list[int]:
     return comps
 
 
-def _forest_path(forest_adj: list[int], start: int, goal: int) -> list[int] | None:
-    """Unique path between two vertices of a forest, or None if disconnected."""
-    if start == goal:
-        return [start]
+def find(parent, x):
+    """Root of ``x`` in a union-find forest given as a list or a dict of
+    parents, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def shortest_path(adj: list[int], start: int, goal: int) -> list[int] | None:
+    """A shortest path by breadth-first search, or None if disconnected.
+
+    In a forest it is the unique path; in an induced subgraph it is
+    chordless.
+    """
     prev = {start: -1}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            for u in iter_bits(forest_adj[v]):
-                if u in prev:
-                    continue
-                prev[u] = v
-                if u == goal:
-                    path = [u]
-                    while path[-1] != start:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(u)
+            if v == goal:
+                path = [v]
+                while path[-1] != start:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
+            for u in iter_bits(adj[v]):
+                if u not in prev:
+                    prev[u] = v
+                    nxt.append(u)
         frontier = nxt
     return None
 
@@ -77,7 +87,7 @@ def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
     for k in ks:
         forest = [0] * n
         for (u, v) in by_label[k]:
-            path = _forest_path(forest, u, v)
+            path = shortest_path(forest, u, v)
             if path is not None:
                 return ("ML1", (u, v), tuple(path))
             forest[u] |= 1 << v
@@ -86,7 +96,7 @@ def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
             if kk >= k:
                 break
             for (u, v) in by_label[kk]:
-                path = _forest_path(forest, u, v)
+                path = shortest_path(forest, u, v)
                 if path is not None:
                     return ("ML1", (u, v), tuple(path))
         for (u, v) in by_label[k]:
@@ -178,32 +188,35 @@ def induced_cycle(n: int, adj: list[int]) -> list[int] | None:
                 continue
             blocked = (adj[v] | (1 << v)) & ~(1 << u) & ~(1 << w)
             allowed = [a & ~blocked for a in adj]
-            path = _forest_like_shortest(allowed, u, w)
+            path = shortest_path(allowed, u, w)
             if path is not None:
                 return [v] + path
     return None
 
 
-def _forest_like_shortest(adj: list[int], start: int, goal: int) -> list[int] | None:
-    """Shortest path by BFS (shortest paths are chordless in the subgraph)."""
-    prev = {start: -1}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in iter_bits(adj[v]):
-                if u in prev:
-                    continue
-                prev[u] = v
-                if u == goal:
-                    path = [u]
-                    while path[-1] != start:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(u)
-        frontier = nxt
-    return None
+def maximal_cliques(n: int, adj: list[int]) -> list[int]:
+    """Every maximal clique of any graph, as vertex bitmasks.
+
+    Bron-Kerbosch with the pivot of Tomita, Tanaka and Takahashi (2006):
+    the pivot covers the most candidates, and only candidates outside its
+    neighbourhood are branched on.  The graph with no vertices has none.
+    """
+    out: list[int] = []
+
+    def expand(clique: int, cand: int, done: int) -> None:
+        if not cand:
+            if not done:
+                out.append(clique)
+            return
+        pivot = max(iter_bits(cand | done), key=lambda u: (cand & adj[u]).bit_count())
+        for v in iter_bits(cand & ~adj[pivot]):
+            expand(clique | 1 << v, cand & adj[v], done & adj[v])
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+    if n:
+        expand(0, (1 << n) - 1, 0)
+    return out
 
 
 def is_strongly_chordal_fast(n: int, adj: list[int]) -> bool:

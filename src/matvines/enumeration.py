@@ -15,9 +15,8 @@ from itertools import combinations, permutations
 from operator import itemgetter, or_
 from typing import Iterator
 
-import networkx as nx
-
 from . import _bits
+from ._bits import find
 from .errors import (GraphInputError, InternalDefectError, PosetInputError,
                      ResourceLimitError)
 from .functors import omega
@@ -27,16 +26,6 @@ from .vine_poset import VinePoset
 DEFAULT_DIMENSION_BOUND = 7
 
 logger = logging.getLogger("matvines")
-
-
-def _label_matrix(g: LabeledGraph) -> tuple[int, list[list[int]]]:
-    index = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    lab = [[0] * n for _ in range(n)]
-    for (u, v), k in g.labels.items():
-        i, j = index[u], index[v]
-        lab[i][j] = lab[j][i] = k
-    return n, lab
 
 
 def _canonical_key(n: int, lab: list[list[int]]) -> tuple[int, ...]:
@@ -81,7 +70,7 @@ def _key_to_matrix(n: int, key: tuple[int, ...]) -> list[list[int]]:
 
 def canonical_form(g: LabeledGraph) -> bytes:
     """Byte string identifying the isomorphism class of a labeled graph."""
-    n, lab = _label_matrix(g)
+    n, _, lab = g._bit_form()
     key = _canonical_key(n, lab)
     return (f"{n}:" + ",".join(map(str, key))).encode("ascii")
 
@@ -213,16 +202,63 @@ def catalan(n: int) -> int:
 
 
 def _tree_representatives(n: int) -> list[list[tuple[int, int]]]:
-    """One spanning tree per isomorphism class, on vertices 0..n-1."""
-    if n == 1:
-        return [[]]
-    if n == 2:
-        return [[(0, 1)]]
-    out = []
-    for t in nx.nonisomorphic_trees(n):
-        out.append(sorted((min(a, b), max(a, b)) for a, b in t.edges()))
-    out.sort()
-    return out
+    """One spanning tree per isomorphism class, on vertices 0..n-1.
+
+    The trees on k vertices are those on k-1 with a leaf k-1 attached to
+    each vertex in turn; a grown tree is kept when its centre-rooted AHU
+    code (Aho, Hopcroft, Ullman 1974) is new.
+    """
+    trees: list[list[tuple[int, int]]] = [[]]
+    for k in range(2, n + 1):
+        codes: dict[str, list[tuple[int, int]]] = {}
+        for t in trees:
+            for v in range(k - 1):
+                grown = sorted(t + [(v, k - 1)])
+                codes.setdefault(_tree_code(k, grown), grown)
+        trees = list(codes.values())
+    return sorted(trees)
+
+
+def _tree_code(n: int, edges: list[tuple[int, int]]) -> str:
+    """AHU code of a tree rooted at its centre, the lesser of the two for a
+    bicentral tree, so that isomorphic trees get the same code."""
+    adj = _adjacency_lists(n, edges)
+    # the centre is the middle of a longest path, which runs between the
+    # vertices found last by two breadth-first searches
+    order, parent = _rooted(adj, _rooted(adj, 0)[0][-1])
+    path = [order[-1]]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    codes = []
+    for root in {path[(len(path) - 1) // 2], path[len(path) // 2]}:
+        order, parent = _rooted(adj, root)
+        code = [""] * n
+        for v in reversed(order):
+            code[v] = "(" + "".join(sorted(code[u] for u in adj[v]
+                                           if u != parent[v])) + ")"
+        codes.append(code[root])
+    return min(codes)
+
+
+def _adjacency_lists(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _rooted(adj: list[list[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of a tree from ``root``, and each vertex's parent
+    (-1 for the root)."""
+    order = [root]
+    parent = [-1] * len(adj)
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def _spanning_trees(num_nodes: int, edges: list[tuple[int, int]]):
@@ -231,12 +267,6 @@ def _spanning_trees(num_nodes: int, edges: list[tuple[int, int]]):
         yield ()
         return
     m = len(edges)
-
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def connectable(parent: list[int], idx: int) -> bool:
         trial = list(parent)
@@ -322,17 +352,8 @@ def _tree_automorphisms(n: int, edges: list[tuple[int, int]]
     keeps every parent edge an edge maps the n-1 edges onto the n-1 edges,
     so every full assignment is an automorphism.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = [0]
-    parent = [-1] * n
-    for v in order:
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
+    adj = _adjacency_lists(n, edges)
+    order, parent = _rooted(adj, 0)
     image = [-1] * n
     used = [False] * n
     out: list[tuple[int, ...]] = []

@@ -8,8 +8,6 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from . import _bits
 from .errors import GraphInputError, InternalDefectError, PreconditionError
 from .verdict import Verdict
@@ -21,6 +19,24 @@ def _norm_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+def _vertex_ids(vertices: Iterable[str]) -> tuple[str, ...]:
+    verts = tuple(str(v) for v in vertices)
+    if len(set(verts)) != len(verts):
+        raise GraphInputError("duplicate vertex identifiers")
+    return verts
+
+
+def _endpoints(vset: set[str], u: str, v: str) -> tuple[str, str]:
+    """The endpoints of an edge as strings, checked against the declared
+    vertices."""
+    u, v = str(u), str(v)
+    if u == v:
+        raise GraphInputError(f"loop at vertex {u!r}")
+    if u not in vset or v not in vset:
+        raise GraphInputError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
+    return u, v
+
+
 @dataclass(frozen=True)
 class Graph:
     """An unlabeled finite simple graph with opaque string vertices."""
@@ -30,18 +46,9 @@ class Graph:
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
-        verts = tuple(str(v) for v in vertices)
-        if len(set(verts)) != len(verts):
-            raise GraphInputError("duplicate vertex identifiers")
+        verts = _vertex_ids(vertices)
         vset = set(verts)
-        norm = []
-        for (u, v) in edges:
-            u, v = str(u), str(v)
-            if u == v:
-                raise GraphInputError(f"loop at vertex {u!r}")
-            if u not in vset or v not in vset:
-                raise GraphInputError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
-            norm.append(_norm_edge(u, v))
+        norm = [_norm_edge(*_endpoints(vset, u, v)) for (u, v) in edges]
         if len(set(norm)) != len(norm):
             raise GraphInputError("duplicate edges")
         return cls(verts, tuple(sorted(norm)))
@@ -74,17 +81,11 @@ class LabeledGraph:
     @classmethod
     def build(cls, vertices: Iterable[str],
               labeled_edges: Iterable[tuple[str, str, int]]) -> "LabeledGraph":
-        verts = tuple(str(v) for v in vertices)
-        if len(set(verts)) != len(verts):
-            raise GraphInputError("duplicate vertex identifiers")
+        verts = _vertex_ids(vertices)
         vset = set(verts)
         seen: dict[tuple[str, str], int] = {}
         for (u, v, k) in labeled_edges:
-            u, v = str(u), str(v)
-            if u == v:
-                raise GraphInputError(f"loop at vertex {u!r}")
-            if u not in vset or v not in vset:
-                raise GraphInputError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
+            u, v = _endpoints(vset, u, v)
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise GraphInputError(f"edge ({u!r}, {v!r}) needs a positive integer label")
             e = _norm_edge(u, v)
@@ -307,11 +308,12 @@ def find_mat_labeling(g: Graph | LabeledGraph) -> LabeledGraph | None:
 
 
 def maximal_cliques(g: Graph | LabeledGraph) -> list[frozenset[str]]:
+    """Every maximal clique, smallest first and then by sorted vertex names."""
     plain = g.underlying() if isinstance(g, LabeledGraph) else g
-    nxg = nx.Graph()
-    nxg.add_nodes_from(plain.vertices)
-    nxg.add_edges_from(plain.edges)
-    cliques = [frozenset(c) for c in nx.find_cliques(nxg)]
+    n, adj = plain._bit_form()
+    names = plain.vertices
+    cliques = [frozenset(names[i] for i in _bits.iter_bits(c))
+               for c in _bits.maximal_cliques(n, adj)]
     return sorted(cliques, key=lambda c: (len(c), sorted(c)))
 
 
@@ -409,17 +411,10 @@ def merge_complete(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
 
     def forest_ok(k: int) -> bool:
         parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for (u, v), kk in {**fixed, **assigned}.items():
             if kk != k:
                 continue
-            ru, rv = find(u), find(v)
+            ru, rv = _bits.find(parent, u), _bits.find(parent, v)
             if ru == rv:
                 return False
             parent[ru] = rv

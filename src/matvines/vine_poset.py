@@ -8,6 +8,7 @@ from enum import IntEnum
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from ._bits import find
 from .errors import InternalDefectError, PosetInputError, PreconditionError
 from .verdict import Verdict, Violation
 
@@ -112,33 +113,34 @@ class VinePoset:
         p = cls(tuple(ids),
                 tuple(tuple(sorted(cs, key=natural_key)) for (_, _, cs) in rows),
                 tuple(r for (_, r, _) in rows))
-        p._check_acyclic()
+        p._children_first  # the walk raises on a cyclic cover relation
         return p
 
-    def _check_acyclic(self) -> None:
+    @cached_property
+    def _children_first(self) -> tuple[str, ...]:
+        """Every node, each after all the nodes it covers; raises
+        :class:`PosetInputError` when the cover relation has a cycle."""
         state: dict[str, int] = {}
-
-        def visit(v: str) -> None:
+        order: list[str] = []
+        for v in self.nodes:
+            if v in state:
+                continue
             stack = [(v, iter(self.covers_of[v]))]
             state[v] = 1
             while stack:
                 node, it = stack[-1]
-                advanced = False
                 for c in it:
                     if state.get(c, 0) == 1:
                         raise PosetInputError("cover relation contains a cycle")
                     if c not in state:
                         state[c] = 1
                         stack.append((c, iter(self.covers_of[c])))
-                        advanced = True
                         break
-                if not advanced:
+                else:
                     state[node] = 2
+                    order.append(node)
                     stack.pop()
-
-        for v in self.nodes:
-            if v not in state:
-                visit(v)
+        return tuple(order)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -164,18 +166,11 @@ class VinePoset:
     def down_masks(self) -> dict[str, int]:
         """Bitmask over node indices of the down-set of each node (inclusive)."""
         masks: dict[str, int] = {}
-
-        def mask_of(v: str) -> int:
-            if v in masks:
-                return masks[v]
+        for v in self._children_first:
             m = 1 << self.index[v]
             for c in self.covers_of[v]:
-                m |= mask_of(c)
+                m |= masks[c]
             masks[v] = m
-            return m
-
-        for v in self.nodes:
-            mask_of(v)
         return masks
 
     def leq(self, a: str, b: str) -> bool:
@@ -217,9 +212,10 @@ class VinePoset:
         return out
 
     @cached_property
-    def _forest_adjacency(self) -> dict[int, dict[str, list[tuple[str, str]]]]:
-        """Per level i: node -> [(neighbour, covering node)] from level i+1 covers."""
-        out: dict[int, dict[str, list[tuple[str, str]]]] = {
+    def _forest_adjacency(self) -> dict[int, dict[str, list[str]]]:
+        """Per level i: node -> its neighbours in the level-i forest, whose
+        edges are the pairs covered at level i+1."""
+        out: dict[int, dict[str, list[str]]] = {
             r: {v: [] for v in vs} for r, vs in self.levels.items()}
         for v, cs in self.covers_of.items():
             if len(cs) != 2:
@@ -227,8 +223,8 @@ class VinePoset:
             a, b = cs
             level = self.rank_of[v] - 1
             if self.rank_of[a] == self.rank_of[b] == level and level in out:
-                out[level][a].append((b, v))
-                out[level][b].append((a, v))
+                out[level][a].append(b)
+                out[level][b].append(a)
         return out
 
     @cached_property
@@ -297,47 +293,48 @@ def _classify(p: VinePoset) -> Classification:
 
 def _level_forest_cycle(p: VinePoset, level: int) -> tuple[str, ...] | None:
     parent = {v: v for v in p.levels[level]}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     adjacency: dict[str, list[str]] = {v: [] for v in p.levels[level]}
     for v in p.levels.get(level + 1, ()):
         cs = p.covers_of[v]
         if len(cs) != 2:
             continue
         a, b = cs
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra == rb:
-            return tuple(_tree_path(adjacency, a, b))
+            path = _forest_path(adjacency, a, b)
+            if path is None:
+                raise InternalDefectError(
+                    "expected a connecting path in the level forest")
+            return tuple(path)
         parent[ra] = rb
         adjacency[a].append(b)
         adjacency[b].append(a)
     return None
 
 
-def _tree_path(adjacency: dict[str, list[str]], start: str, goal: str) -> list[str]:
-    prev = {start: None}
+def _forest_path(adjacency: dict[str, list[str]], start: str, goal: str
+                 ) -> list[str] | None:
+    """The path between two nodes of a forest given by adjacency lists, or
+    None when they are not both nodes of it or not connected."""
+    if start not in adjacency or goal not in adjacency:
+        return None
+    prev: dict[str, str | None] = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
+            if v == goal:
+                path = [v]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
             for u in adjacency[v]:
-                if u in prev:
-                    continue
-                prev[u] = v
-                if u == goal:
-                    path = [u]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(u)
+                if u not in prev:
+                    prev[u] = v
+                    nxt.append(u)
         frontier = nxt
-    raise InternalDefectError("expected a connecting path in the level forest")
+    return None
 
 
 def _proximity_witness(p: VinePoset) -> tuple[str, ...] | None:
@@ -437,17 +434,10 @@ def _graded_vine_precheck(p: VinePoset) -> Classification | None:
 
 def _has_cycle(nodes: Iterable[str], edges: list[tuple[str, ...]]) -> bool:
     parent = {v: v for v in nodes}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in edges:
         if len(e) != 2:
             continue
-        a, b = find(e[0]), find(e[1])
+        a, b = find(parent, e[0]), find(parent, e[1])
         if a == b:
             return True
         parent[a] = b
@@ -572,7 +562,7 @@ def join_and_paths(p: VinePoset, i: str, j: str) -> JoinPaths | None:
     if i == j:
         raise PosetInputError("the two minimal nodes must be distinct")
     level = 1
-    path = _forest_path_nodes(p, level, i, j)
+    path = _forest_path(p._forest_adjacency.get(level, {}), i, j)
     if path is None:
         return None
     paths = [tuple(path)]
@@ -584,38 +574,11 @@ def join_and_paths(p: VinePoset, i: str, j: str) -> JoinPaths | None:
         if top1 is None or top2 is None:
             return None
         level += 1
-        path = _forest_path_nodes(p, level, top1, top2)
+        path = _forest_path(p._forest_adjacency.get(level, {}), top1, top2)
         if path is None:
             return None
         paths.append(tuple(path))
     return JoinPaths(join=path[0], paths=tuple(paths))
-
-
-def _forest_path_nodes(p: VinePoset, level: int, start: str, goal: str
-                       ) -> list[str] | None:
-    adjacency = p._forest_adjacency.get(level, {})
-    if start not in adjacency or goal not in adjacency:
-        return None
-    if start == goal:
-        return [start]
-    prev: dict[str, str | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for (u, _) in adjacency[v]:
-                if u in prev:
-                    continue
-                prev[u] = v
-                if u == goal:
-                    out = [u]
-                    while prev[out[-1]] is not None:
-                        out.append(prev[out[-1]])
-                    out.reverse()
-                    return out
-                nxt.append(u)
-        frontier = nxt
-    return None
 
 
 def truncate(p: VinePoset, k: int, direction: str) -> VinePoset:
@@ -715,58 +678,53 @@ def _canonical_order(p: VinePoset) -> list[str]:
     return sorted(p.nodes, key=lambda v: (p.rank_of[v], natural_key(v)))
 
 
-def iter_ideals(p: VinePoset, mode: str = "all") -> Iterator[tuple[str, ...]]:
-    """Stream downward-closed subsets in a fixed deterministic order.
+def _ideal_walk(p: VinePoset, mode: str) -> Iterator[list[bool]]:
+    """Depth-first walk over the nodes in canonical order, leaving each node
+    out before taking it in; yields the shared choice vector once per ideal.
 
-    Mode "all" includes the empty ideal; "full_support" restricts to ideals
-    containing every minimal node.
+    The walk keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     if mode not in ("all", "full_support"):
         raise PosetInputError(f"unknown mode {mode!r}")
     order = _canonical_order(p)
     pos = {v: t for t, v in enumerate(order)}
     must_include = set(p.minimals) if mode == "full_support" else set()
-    chosen: list[bool] = [False] * len(order)
-
-    def rec(t: int) -> Iterator[tuple[str, ...]]:
+    covers = [[pos[c] for c in p.covers_of[v]] for v in order]
+    chosen = [False] * len(order)
+    # (position, stage): stage 0 leaves the node out, stage 1 takes it in
+    # when everything it covers is chosen, stage 2 undoes that
+    stack = [(0, 0)]
+    while stack:
+        t, stage = stack.pop()
         if t == len(order):
-            yield tuple(v for v in order if chosen[pos[v]])
-            return
-        v = order[t]
-        if v not in must_include:
-            chosen[t] = False
-            yield from rec(t + 1)
-        if all(chosen[pos[c]] for c in p.covers_of[v]):
-            chosen[t] = True
-            yield from rec(t + 1)
+            yield chosen
+        elif stage == 0:
+            stack.append((t, 1))
+            if order[t] not in must_include:
+                stack.append((t + 1, 0))
+        elif stage == 1:
+            if all(map(chosen.__getitem__, covers[t])):
+                chosen[t] = True
+                stack += [(t, 2), (t + 1, 0)]
+        else:
             chosen[t] = False
 
-    yield from rec(0)
+
+def iter_ideals(p: VinePoset, mode: str = "all") -> Iterator[tuple[str, ...]]:
+    """Stream downward-closed subsets in a fixed deterministic order.
+
+    Mode "all" includes the empty ideal; "full_support" restricts to ideals
+    containing every minimal node.
+    """
+    order = _canonical_order(p)
+    for chosen in _ideal_walk(p, mode):
+        yield tuple(v for v, c in zip(order, chosen) if c)
 
 
 def count_ideals(p: VinePoset, mode: str = "all") -> int:
-    if mode not in ("all", "full_support"):
-        raise PosetInputError(f"unknown mode {mode!r}")
-    order = _canonical_order(p)
-    pos = {v: t for t, v in enumerate(order)}
-    must_include = set(p.minimals) if mode == "full_support" else set()
-    chosen = [False] * len(order)
-
-    def rec(t: int) -> int:
-        if t == len(order):
-            return 1
-        v = order[t]
-        total = 0
-        if v not in must_include:
-            chosen[t] = False
-            total += rec(t + 1)
-        if all(chosen[pos[c]] for c in p.covers_of[v]):
-            chosen[t] = True
-            total += rec(t + 1)
-            chosen[t] = False
-        return total
-
-    return rec(0)
+    """Number of ideals :func:`iter_ideals` streams in the same mode."""
+    return sum(1 for _ in _ideal_walk(p, mode))
 
 
 def d_vine(dimension: int) -> VinePoset:

@@ -170,8 +170,8 @@ class TestEnumerate:
     def test_representative_reconstruction(self):
         report = enumerate_mat_labelings_complete(4, with_representatives=True)
         for rep in report.representatives:
-            from matvines.enumeration import _canonical_key, _label_matrix
-            n, lab = _label_matrix(rep)
+            from matvines.enumeration import _canonical_key
+            n, _, lab = rep._bit_form()
             key = _canonical_key(n, lab)
             again = representative_graph(4, key)
             assert are_isomorphic(rep, again)[0]
@@ -253,6 +253,27 @@ class TestEnumerationDriver:
                      if {tuple(sorted((p[a], p[b]))) for a, b in t1} == edges}
             found = enumeration._tree_automorphisms(dim, t1)
             assert len(found) == len(brute) and set(found) == brute
+
+    @pytest.mark.parametrize("n, count", [
+        (1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23),
+        (9, 47), (10, 106)])
+    def test_tree_representatives(self, n, count):
+        # OEIS A000055: unlabeled trees on n vertices
+        trees = enumeration._tree_representatives(n)
+        assert len(trees) == count
+        for t in trees:
+            assert len(t) == n - 1 and t == sorted(t)
+            assert all(0 <= a < b < n for a, b in t)
+            parent = list(range(n))
+            for a, b in t:
+                ra, rb = _bits.find(parent, a), _bits.find(parent, b)
+                assert ra != rb
+                parent[ra] = rb
+        if n <= 7:
+            forms = {min(tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in t))
+                         for p in permutations(range(n)))
+                     for t in trees}
+            assert len(forms) == len(trees)
 
     @pytest.mark.parametrize("dim, jobs, cores, workers", [
         (6, 1000, 4, 4), (6, 3, 64, 3), (4, 8, 64, None), (6, 8, 1, None)])

@@ -1,9 +1,14 @@
 """File formats and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matvines
 import matvines.io as mio
 from matvines import (GraphInputError, LabeledGraph, PosetInputError, c_vine,
                       canonical_form, d_vine, from_forest_sequence, psi,
@@ -277,3 +282,18 @@ class TestOtherCommands:
         _, doc1 = run_cli(capsys, "canon", str(p1))
         _, doc2 = run_cli(capsys, "canon", str(p2))
         assert doc1["canonical"] == doc2["canonical"]
+
+
+class TestImport:
+    def test_no_third_party_modules(self):
+        # the package runs on the standard library alone
+        src = str(Path(matvines.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        probe = ("import sys, matvines, matvines.cli; "
+                 "print('networkx' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

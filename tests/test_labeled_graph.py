@@ -206,6 +206,27 @@ class TestStronglyChordal:
         assert is_strongly_chordal(d4_graph).ok
 
 
+class TestMaximalCliques:
+    def test_match_brute_force_on_random_graphs(self):
+        # any graph, chordal or not, down to the graph with no vertices
+        rng = random.Random(17)
+        non_chordal = 0
+        for trial in range(300):
+            n = trial % 10
+            names = [f"x{i}" for i in range(n)]
+            density = rng.random()
+            edges = [e for e in combinations(names, 2) if rng.random() < density]
+            g = Graph.build(names, edges)
+            cliques = [frozenset(c) for r in range(1, n + 1)
+                       for c in combinations(names, r)
+                       if all(b in g.adjacency[a] for a, b in combinations(c, 2))]
+            maximal = [c for c in cliques if not any(c < d for d in cliques)]
+            assert maximal_cliques(g) == sorted(
+                maximal, key=lambda c: (len(c), sorted(c)))
+            non_chordal += not bits.is_chordal(*g._bit_form())
+        assert non_chordal > 0
+
+
 class TestFindMatLabeling:
     def test_triangle_label_multiset_is_forced(self):
         g = Graph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])

@@ -317,6 +317,17 @@ class TestSamplingOrders:
             is_sampling_order(d_vine(3), ("1", "2"))
 
 
+class TestDownSets:
+    def test_long_chain_listed_top_first(self):
+        length = 3000
+        chain = VinePoset.build([(f"a{i}", i + 1, [f"a{i - 1}"] if i else [])
+                                 for i in reversed(range(length))])
+        top = f"a{length - 1}"
+        assert chain.down_masks[top] == (1 << length) - 1
+        assert chain.down_masks["a0"] == 1 << (length - 1)
+        assert chain.leq("a0", top) and not chain.leq(top, "a0")
+
+
 class TestIdeals:
     def test_d_vine3_all(self):
         assert count_ideals(d_vine(3), "all") == 14
@@ -324,6 +335,15 @@ class TestIdeals:
     def test_chain_of_three(self):
         chain3 = VinePoset.build([("a", 1, []), ("b", 2, ["a"]), ("c", 3, ["b"])])
         assert count_ideals(chain3, "all") == 4
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        length = 1500
+        chain = VinePoset.build([(f"a{i}", i + 1, [f"a{i - 1}"] if i else [])
+                                 for i in range(length)])
+        assert count_ideals(chain, "all") == length + 1
+        ideals = list(iter_ideals(chain, "all"))
+        assert ideals == [tuple(f"a{i}" for i in range(k))
+                          for k in range(length + 1)]
 
     def test_c_vine3_both_modes(self):
         p = c_vine(3)
