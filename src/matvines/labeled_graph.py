@@ -289,18 +289,21 @@ def is_strongly_chordal(g: Graph | LabeledGraph) -> Verdict:
 
 
 def find_mat_labeling(g: Graph | LabeledGraph) -> LabeledGraph | None:
-    """Search for a valid labeling of an unlabeled graph.
+    """A valid labeling of an unlabeled graph, or None when it has none.
 
-    Returns None exactly when the graph is not strongly chordal; the search
-    is an independent backtracking procedure, so agreement with
-    :func:`is_strongly_chordal` is a genuine cross-check rather than a
-    tautology.
+    A graph has one exactly when it is strongly chordal, so the fast
+    elimination test decides first and only strongly chordal graphs reach
+    the backtracking search.  The agreement sweep of
+    :func:`matvines.enumeration.mat_sc_agreement` calls that search on every
+    graph, so its comparison with strong chordality stays independent.
     """
     plain = g.underlying() if isinstance(g, LabeledGraph) else g
     n, adj = plain._bit_form()
+    if not _bits.is_strongly_chordal_fast(n, adj):
+        return None
     lab = _bits.find_mat_labeling(n, adj)
     if lab is None:
-        return None
+        raise InternalDefectError("no labeling found for a strongly chordal graph")
     names = plain.vertices
     items = [(names[i], names[j], lab[i][j])
              for i in range(n) for j in range(i + 1, n) if lab[i][j]]
@@ -360,131 +363,86 @@ def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
 def merge_complete(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """Complete graph on the vertex union restricting to both inputs.
 
-    The labels of the missing edges are found by backtracking; existence is
-    guaranteed, so exhaustion of the search signals a defect.
+    The inputs are glued over their shared complete subgraph and the vine of
+    the glued graph is grown into a regular vine (:func:`_grow_to_complete`).
     """
     _check_overlap(g1, g2, require_inputs_complete=True)
-    verts = list(g1.vertices) + [v for v in g2.vertices if v not in set(g1.vertices)]
-    fixed = {e: k for e, k in g1.labels.items()}
-    fixed.update(g2.labels)
-    missing = [(u, v) for u, v in combinations(sorted(verts), 2)
-               if _norm_edge(u, v) not in fixed]
-    m = len(verts)
-    if not missing:
-        return LabeledGraph.build(verts, [(u, v, k) for (u, v), k in fixed.items()])
-
-    counts = [0] * (m + 1)
-    for k in fixed.values():
-        counts[k] += 1
-    quota = [0] * (m + 1)
-    for k in range(1, m):
-        quota[k] = m - k
-
-    assigned: dict[tuple[str, str], int] = {}
-
-    def current_label(u: str, v: str) -> int | None:
-        e = _norm_edge(u, v)
-        if e in fixed:
-            return fixed[e]
-        return assigned.get(e)
-
-    def feasible() -> bool:
-        # every settled edge must still be able to reach k-1 conditioning
-        # vertices, and must not already exceed that bound
-        every = {**fixed, **assigned}
-        for (u, v), k in every.items():
-            low = 0
-            open_slots = 0
-            for w in verts:
-                if w in (u, v):
-                    continue
-                a = current_label(u, w)
-                b = current_label(v, w)
-                if a is not None and b is not None:
-                    if a < k and b < k:
-                        low += 1
-                elif (a is None or a < k) and (b is None or b < k):
-                    open_slots += 1
-            if low > k - 1 or low + open_slots < k - 1:
-                return False
-        return True
-
-    def forest_ok(k: int) -> bool:
-        parent = {v: v for v in verts}
-        for (u, v), kk in {**fixed, **assigned}.items():
-            if kk != k:
-                continue
-            ru, rv = _bits.find(parent, u), _bits.find(parent, v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    def solve(pos: int) -> bool:
-        if pos == len(missing):
-            return True
-        u, v = missing[pos]
-        for k in range(1, m):
-            if counts[k] >= quota[k]:
-                continue
-            assigned[_norm_edge(u, v)] = k
-            counts[k] += 1
-            if forest_ok(k) and feasible() and solve(pos + 1):
-                return True
-            counts[k] -= 1
-            del assigned[_norm_edge(u, v)]
-        return False
-
-    if not solve(0):
-        raise InternalDefectError("no completion found for a valid merge input")
-    every = {**fixed, **assigned}
-    out = LabeledGraph.build(verts, [(u, v, k) for (u, v), k in every.items()])
-    verdict = check_mat_labeling(out)
-    if not verdict.ok:
-        raise InternalDefectError(f"merged graph failed validation: {verdict.violation}")
-    return out
+    return _grow_to_complete(glue(g1, g2))
 
 
 def extend_to_complete(g: LabeledGraph) -> LabeledGraph:
     """Complete graph on the same vertices whose restriction equals ``g``.
 
-    Recursive construction: peel off a maximal clique whose intersection
-    with one other maximal clique dominates its intersections with all the
-    rest, extend the remainder, and merge the two complete pieces.
+    The vine of ``g`` is an ideal of a regular vine; that vine is grown
+    level by level (:func:`_grow_to_complete`) and its labeled graph is the
+    completion.  Where the completion is not unique, the vertex order
+    decides which one is returned.
     """
     verdict = check_mat_labeling(g)
     if not verdict.ok:
         raise PreconditionError(f"graph is not MAT-labeled: {verdict.violation}")
-    out = _extend_recursive(g)
+    out = _grow_to_complete(g)
     for e, k in g.labels.items():
         if out.labels[e] != k:
             raise InternalDefectError("extension does not restrict to the input")
     return out
 
 
-def _extend_recursive(g: LabeledGraph) -> LabeledGraph:
-    if g.is_complete():
-        return g
-    cliques = maximal_cliques(g)
-    pair = None
-    for x0 in cliques:
-        for y0 in cliques:
-            if y0 == x0:
-                continue
-            inter = x0 & y0
-            if all(x0 & y <= inter for y in cliques if y != x0):
-                pair = (x0, y0)
-                break
-        if pair:
-            break
-    if pair is None:
-        raise InternalDefectError("no separating pair of maximal cliques found")
-    x0, _ = pair
-    rest = [y for y in cliques if y != x0]
-    rest_vertices = frozenset().union(*rest)
-    keep_edges = [(u, v, k) for (u, v), k in g.labels.items()
-                  if any(u in y and v in y for y in rest)]
-    g_rest = LabeledGraph.build(
-        tuple(v for v in g.vertices if v in rest_vertices), keep_edges)
-    completed_rest = _extend_recursive(g_rest)
-    return merge_complete(g.restrict(x0), completed_rest)
+def _grow_to_complete(g: LabeledGraph) -> LabeledGraph:
+    """The labeled graph of a regular vine that has the vine of ``g`` as an
+    ideal.
+
+    Sets are vertex bitmasks.  The rank-r sets (the principal cliques of r
+    vertices) are the edges of a forest on the rank-(r-1) sets, each joining
+    its two children.  Rank by rank that forest is grown into a tree: its
+    components are joined by pairs of rank-(r-1) sets that share a child
+    (the proximity condition; at rank 2 any two vertices).  The union of
+    such a pair is a new rank-r set, and its conditioned pair, the symmetric
+    difference, gets label r-1.  The pairs that share a child are the edges
+    of the line graph of the completed tree one rank down, which is
+    connected, so every forest grows into a tree.
+    """
+    names = g.vertices
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    sets_of_rank: dict[int, dict[int, int]] = {}
+    for (u, v), clique in principal_cliques(g).items():
+        sets_of_rank.setdefault(len(clique), {})[
+            sum(bit[w] for w in clique)] = bit[u] | bit[v]
+    conditioned = {pair for level in sets_of_rank.values() for pair in level.values()}
+    added = []
+    lower = dict.fromkeys(bit.values(), 0)
+    for r in range(2, len(names) + 1):
+        level = sets_of_rank.get(r, {})
+        parent = {s: s for s in lower}
+        if r == 2:
+            sharing = {0: list(lower)}   # any two vertices may be joined
+        else:
+            sharing: dict[int, list[int]] = {}
+            for s, pair in lower.items():
+                low = pair & -pair
+                for child in (s ^ low, s ^ pair ^ low):
+                    sharing.setdefault(child, []).append(s)
+        for s, pair in level.items():
+            low = pair & -pair
+            parent[_bits.find(parent, s ^ low)] = _bits.find(parent, s ^ pair ^ low)
+        for first, *others in sharing.values():
+            for s in others:
+                a, b = _bits.find(parent, first), _bits.find(parent, s)
+                if a == b:
+                    continue
+                parent[a] = b
+                pair = first ^ s
+                x, y = (names[t] for t in _bits.iter_bits(pair))
+                if pair in conditioned:
+                    raise InternalDefectError(f"pair ({x}, {y}) would be conditioned twice")
+                conditioned.add(pair)
+                level[first | s] = pair
+                added.append((x, y, r - 1))
+        if len(level) != len(lower) - 1:
+            raise InternalDefectError(f"level {r - 1} of the vine did not grow into a tree")
+        lower = level
+    out = LabeledGraph.build(names, [(u, v, k) for (u, v), k in g.labels.items()] + added)
+    verdict = check_mat_labeling(out)
+    if not verdict.ok:
+        raise InternalDefectError(f"completed graph failed validation: {verdict.violation}")
+    return out

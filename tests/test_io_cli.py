@@ -10,8 +10,9 @@ import pytest
 
 import matvines
 import matvines.io as mio
-from matvines import (GraphInputError, LabeledGraph, PosetInputError, c_vine,
-                      canonical_form, d_vine, from_forest_sequence, psi,
+from matvines import (GraphInputError, LabeledGraph, PosetInputError,
+                      VineClass, c_vine, canonical_form, check_mat_labeling,
+                      classify, d_vine, from_forest_sequence, omega, psi,
                       to_forest_sequence)
 from matvines.cli import main
 
@@ -282,6 +283,55 @@ class TestOtherCommands:
         _, doc1 = run_cli(capsys, "canon", str(p1))
         _, doc2 = run_cli(capsys, "canon", str(p2))
         assert doc1["canonical"] == doc2["canonical"]
+
+
+# A 14-vertex MAT-labeled graph (random_mat_labeled_graph, seed 0); a
+# search over the labels of its 71 missing edges runs for more than 6 s.
+GRAPH_14 = LabeledGraph.build(
+    [f"v{i}" for i in range(1, 15)],
+    [("v1", "v10", 1), ("v1", "v13", 1), ("v1", "v2", 1), ("v1", "v4", 1),
+     ("v1", "v6", 1), ("v10", "v4", 2), ("v10", "v6", 3), ("v11", "v6", 1),
+     ("v11", "v8", 2), ("v13", "v6", 2), ("v14", "v3", 1), ("v14", "v7", 2),
+     ("v2", "v4", 2), ("v2", "v6", 3), ("v3", "v5", 1), ("v3", "v7", 1),
+     ("v3", "v9", 1), ("v4", "v6", 2), ("v5", "v9", 2), ("v6", "v8", 1)])
+
+
+def assert_completes(out, *pieces):
+    assert out.is_complete() and check_mat_labeling(out).ok
+    assert classify(psi(out)).kind == VineClass.R_VINE
+    for piece in pieces:
+        assert all(out.labels[e] == k for e, k in piece.labels.items())
+
+
+class TestCompletionCommands:
+    def test_extend_fourteen_vertices(self, capsys, tmp_path):
+        src, dst = tmp_path / "g.json", tmp_path / "complete.json"
+        mio.save_structure(GRAPH_14, src)
+        code, doc = run_cli(capsys, "extend", str(src), "--out", str(dst))
+        assert code == 0 and doc == {"out": str(dst), "vertices": 14, "edges": 91}
+        assert_completes(mio.load_structure(dst), GRAPH_14)
+
+    def test_embed_twelve_vertex_vine(self, capsys, tmp_path):
+        p = psi(GRAPH_14.restrict([f"v{i}" for i in range(1, 13)]))
+        src, dst = tmp_path / "p.json", tmp_path / "r.json"
+        mio.save_structure(p, src)
+        code, doc = run_cli(capsys, "embed", str(src), "--out", str(dst))
+        target = mio.load_structure(dst)
+        assert code == 0 and doc["target_nodes"] == len(target.nodes) == 78
+        assert classify(target).kind == VineClass.R_VINE
+        assert sorted(doc["map"]) == sorted(p.nodes)
+        assert_completes(omega(target), omega(p))
+
+    def test_merge_overlapping_complete_pieces(self, capsys, tmp_path):
+        # two 8-vertex D-vines sharing the labeled triangle on 6, 7, 8
+        a = omega(d_vine(8))
+        b = a.relabel_vertices({str(i): str(i + 5) for i in range(1, 9)})
+        pa, pb, dst = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        mio.save_structure(a, pa)
+        mio.save_structure(b, pb)
+        code, doc = run_cli(capsys, "merge", str(pa), str(pb), "--out", str(dst))
+        assert code == 0 and doc == {"out": str(dst), "vertices": 13, "edges": 78}
+        assert_completes(mio.load_structure(dst), a, b)
 
 
 class TestImport:

@@ -9,11 +9,122 @@ from hypothesis import strategies as st
 
 import matvines._bits as bits
 from matvines import (GraphInputError, Graph, LabeledGraph, PreconditionError,
-                      check_mat_labeling, extend_to_complete,
+                      VineClass, c_vine, check_mat_labeling, classify,
+                      d_vine, embed_in_r_vine, extend_to_complete,
                       find_mat_labeling, find_mat_peo, glue,
                       is_mat_simplicial, is_strongly_chordal, maximal_cliques,
-                      merge_complete, principal_clique, principal_cliques,
-                      random_mat_labeled_graph)
+                      merge_complete, omega, principal_clique,
+                      principal_cliques, psi, random_mat_labeled_graph)
+
+
+def backtracking_completions(g):
+    """Up to two complete MAT labelings that restrict to ``g`` (one means
+    the completion is forced).
+
+    The backtracking search that ``merge_complete`` used to run, kept as the
+    test oracle for the constructive completion: each missing edge tries
+    every label within the per-label quota (label k on n - k edges), pruned
+    by the label forests and by the number of conditioning vertices every
+    settled edge can still reach.  Exponential; meant for at most 8 vertices.
+    """
+    verts = list(g.vertices)
+    fixed = dict(g.labels)
+    missing = [(u, v) for u, v in combinations(sorted(verts), 2)
+               if (u, v) not in fixed]
+    m = len(verts)
+    counts = [0] * (m + 1)
+    for k in fixed.values():
+        counts[k] += 1
+    assigned = {}
+    found = []
+
+    def label(u, v):
+        e = (u, v) if u <= v else (v, u)
+        return fixed.get(e, assigned.get(e))
+
+    def feasible():
+        for (u, v), k in {**fixed, **assigned}.items():
+            low = open_slots = 0
+            for w in verts:
+                if w in (u, v):
+                    continue
+                a, b = label(u, w), label(v, w)
+                if a is not None and b is not None:
+                    low += a < k and b < k
+                elif (a is None or a < k) and (b is None or b < k):
+                    open_slots += 1
+            if low > k - 1 or low + open_slots < k - 1:
+                return False
+        return True
+
+    def forest_ok(k):
+        parent = {v: v for v in verts}
+        for (u, v), kk in {**fixed, **assigned}.items():
+            if kk == k:
+                ru, rv = bits.find(parent, u), bits.find(parent, v)
+                if ru == rv:
+                    return False
+                parent[ru] = rv
+        return True
+
+    def solve(pos):
+        if pos == len(missing):
+            out = LabeledGraph.from_labels(verts, {**fixed, **assigned})
+            if check_mat_labeling(out).ok:
+                found.append(out.labels)
+            return len(found) == 2
+        e = missing[pos]
+        for k in range(1, m):
+            if counts[k] >= m - k:
+                continue
+            assigned[e] = k
+            counts[k] += 1
+            if forest_ok(k) and feasible() and solve(pos + 1):
+                return True
+            counts[k] -= 1
+            del assigned[e]
+        return False
+
+    solve(0)
+    return found
+
+
+def _attach(rng, g, piece):
+    """``piece`` renamed to share one vertex, or one label-1 edge, with
+    ``g``; its other vertices get fresh names."""
+    mapping = {}
+    ones = [e for e, k in piece.labels.items() if k == 1]
+    g_ones = [e for e, k in g.labels.items() if k == 1]
+    if ones and g_ones and rng.random() < 0.5:
+        mapping.update(zip(rng.choice(ones), rng.choice(g_ones)))
+    else:
+        mapping[rng.choice(piece.vertices)] = rng.choice(g.vertices)
+    fresh = (f"w{i}" for i in range(len(g.vertices), len(g.vertices) + len(piece.vertices)))
+    for v in piece.vertices:
+        if v not in mapping:
+            mapping[v] = next(fresh)
+    return piece.relabel_vertices(mapping)
+
+
+def _random_piece(rng, size):
+    """``random_mat_labeled_graph`` on ``size`` vertices, or one time in
+    three the complete graph of a D-vine or C-vine."""
+    if rng.random() < 1 / 3:
+        return omega(rng.choice((d_vine, c_vine))(size))
+    return random_mat_labeled_graph(rng, size)
+
+
+def glued_mat_graph(rng, n):
+    """A random MAT-labeled graph on n vertices, glued from pieces of at
+    most 8 vertices over a shared vertex or label-1 edge (larger draws of
+    ``random_mat_labeled_graph`` can spend seconds in its labeling
+    search)."""
+    first = _random_piece(rng, rng.randint(1, min(n, 8)))
+    g = first.relabel_vertices({v: f"w{i}" for i, v in enumerate(first.vertices)})
+    while len(g.vertices) < n:
+        size = rng.randint(2, min(8, n - len(g.vertices) + 1))
+        g = glue(g, _attach(rng, g, _random_piece(rng, size)))
+    return g
 
 
 def assert_valid_mat_peo(g, order):
@@ -244,6 +355,23 @@ class TestFindMatLabeling:
         assert labeled is not None
         assert labeled.edges == ()
 
+    def test_sun_under_a_clique_is_refused_without_search(self, monkeypatch):
+        # a 3-sun whose inner triangle is joined to a K4: chordal but not
+        # strongly chordal, and the labeling search alone runs for minutes
+        inner, k4 = ["a", "b", "c"], ["k1", "k2", "k3", "k4"]
+        outer = [("x", "a"), ("x", "b"), ("y", "b"), ("y", "c"),
+                 ("z", "a"), ("z", "c")]
+        g = Graph.build(inner + ["x", "y", "z"] + k4,
+                        list(combinations(inner + k4, 2)) + outer)
+        assert bits.is_chordal(*g._bit_form())
+        assert is_strongly_chordal(g).violation.tag == "SunFound"
+
+        def no_search(n, adj):
+            raise AssertionError("labeling search reached")
+
+        monkeypatch.setattr(bits, "find_mat_labeling", no_search)
+        assert find_mat_labeling(g) is None
+
     def test_output_always_validates(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -318,6 +446,44 @@ class TestMergeComplete:
         with pytest.raises(PreconditionError):
             merge_complete(g1, g1)
 
+    def test_agrees_with_backtracking_oracle(self):
+        # random merge inputs on at most 7 vertices: both succeed, and the
+        # labels are equal wherever the oracle finds a single completion
+        rng = random.Random(41)
+        merged_count = forced = 0
+        for _ in range(60):
+            g = random_mat_labeled_graph(rng, rng.randint(3, 7))
+            cliques = maximal_cliques(g)
+            if len(cliques) < 2:
+                continue
+            x, y = rng.sample(cliques, 2)
+            a, b = g.restrict(x), g.restrict(y)
+            merged, glued = merge_complete(a, b), glue(a, b)
+            completions = backtracking_completions(glued)
+            assert completions, "oracle found no completion"
+            assert check_mat_labeling(merged).ok
+            assert all(merged.labels[e] == k for e, k in glued.labels.items())
+            if len(completions) == 1:
+                assert merged.labels == completions[0]
+                forced += 1
+            merged_count += 1
+        assert merged_count >= 30 and forced > 0
+
+    def test_forced_completions_equal_the_oracle(self):
+        names = [f"p{i}" for i in range(7)]
+        pendant = (LabeledGraph.build(["a", "b"], [("a", "b", 1)]),
+                   LabeledGraph.build(["b", "c"], [("b", "c", 1)]))
+        cases = [pendant]
+        for n in range(3, 8):
+            path = LabeledGraph.build(names[:n], [(names[i], names[i + 1], 1)
+                                                  for i in range(n - 1)])
+            d = extend_to_complete(path)
+            cases.append((d.restrict(names[:n - 1]), d.restrict(names[1:n])))
+        for a, b in cases:
+            completions = backtracking_completions(glue(a, b))
+            assert len(completions) == 1
+            assert merge_complete(a, b).labels == completions[0]
+
 
 class TestExtendToComplete:
     def test_path_forces_unique_completion(self):
@@ -335,6 +501,17 @@ class TestExtendToComplete:
         for e, k in lrv_graph.labels.items():
             assert out.labels[e] == k
 
+    def test_paths_have_the_d_vine_completion(self):
+        for n in range(2, 11):
+            names = [f"p{i:02}" for i in range(n)]
+            path = LabeledGraph.build(names, [(names[i], names[i + 1], 1)
+                                              for i in range(n - 1)])
+            out = extend_to_complete(path)
+            assert out.labels == {(names[i], names[j]): j - i
+                                  for i in range(n) for j in range(i + 1, n)}
+            if n <= 6:   # the oracle needs about 5 s at 7 vertices
+                assert [out.labels] == backtracking_completions(path)
+
     def test_random_instances(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -344,6 +521,43 @@ class TestExtendToComplete:
             assert check_mat_labeling(out).ok
             for e, k in g.labels.items():
                 assert out.labels[e] == k
+
+
+class TestCompletionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 15))
+    def test_extension_is_a_regular_vine_over_the_input(self, seed, n):
+        g = glued_mat_graph(random.Random(seed), n)
+        out = extend_to_complete(g)
+        assert out.is_complete() and out.vertices == g.vertices
+        assert check_mat_labeling(out).ok
+        assert all(out.labels[e] == k for e, k in g.labels.items())
+        assert classify(psi(out)).kind == VineClass.R_VINE
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_lr_vine_is_an_ideal_of_its_embedding(self, seed, n):
+        p = psi(glued_mat_graph(random.Random(seed), n))
+        target, embedding = embed_in_r_vine(p)
+        assert classify(target).kind == VineClass.R_VINE
+        assert len(target.minimals) == n
+        image = {embedding.mapping[v] for v in p.nodes}
+        assert len(image) == len(p.nodes)
+        assert all(w in image for w in target.nodes
+                   for x in image if target.leq(w, x))
+        assert omega(target).labels.items() >= omega(p).labels.items()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9))
+    def test_merge_of_complete_pieces_restricts_to_both(self, seed, n1, n2):
+        rng = random.Random(seed)
+        a = extend_to_complete(glued_mat_graph(rng, n1))
+        b = _attach(rng, a, extend_to_complete(glued_mat_graph(rng, n2)))
+        out = merge_complete(a, b)
+        assert out.is_complete() and check_mat_labeling(out).ok
+        assert set(out.vertices) == set(a.vertices) | set(b.vertices)
+        for piece in (a, b):
+            assert out.restrict(piece.vertices).labels == piece.labels
 
 
 class TestStructuralFacts:
