@@ -262,40 +262,18 @@ def _rooted(adj: list[list[int]], root: int) -> tuple[list[int], list[int]]:
 
 
 def _spanning_trees(num_nodes: int, edges: list[tuple[int, int]]):
-    """All spanning trees as tuples of edge indices, each exactly once."""
-    if num_nodes == 1:
-        yield ()
-        return
-    m = len(edges)
-
-    def connectable(parent: list[int], idx: int) -> bool:
-        trial = list(parent)
-        comps = len({find(trial, v) for v in range(num_nodes)})
-        for t in range(idx, m):
-            a, b = edges[t]
-            ra, rb = find(trial, a), find(trial, b)
-            if ra != rb:
-                trial[ra] = rb
-                comps -= 1
-                if comps == 1:
-                    return True
-        return comps == 1
-
-    def rec(idx: int, parent: list[int], count: int, chosen: tuple[int, ...]):
-        if count == 1:
-            yield chosen
-            return
-        if idx == m or not connectable(parent, idx):
-            return
-        a, b = edges[idx]
-        ra, rb = find(list(parent), a), find(list(parent), b)
-        if ra != rb:
-            child = list(parent)
-            child[find(child, a)] = find(child, b)
-            yield from rec(idx + 1, child, count - 1, chosen + (idx,))
-        yield from rec(idx + 1, parent, count, chosen)
-
-    yield from rec(0, list(range(num_nodes)), num_nodes, ())
+    """All spanning trees, in lexicographic order, as the ascending tuples of
+    num_nodes − 1 edge indices that close no cycle."""
+    for subset in combinations(range(len(edges)), num_nodes - 1):
+        parent = list(range(num_nodes))
+        for idx in subset:
+            a, b = edges[idx]
+            ra, rb = find(parent, a), find(parent, b)
+            if ra == rb:
+                break
+            parent[ra] = rb
+        else:
+            yield subset
 
 
 def _towers_over_tree(dimension: int, t1_edges: list[tuple[int, int]]):

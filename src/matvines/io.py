@@ -128,19 +128,21 @@ def load_structure(path: str | Path) -> LabeledGraph | VinePoset | ForestSequenc
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphInputError(f"cannot read {p}: {exc}") from exc
     try:
         doc = json.loads(text)
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt == GRAPH_FORMAT:
+            return graph_from_json(doc)
+        if fmt == VINE_FORMAT:
+            return vine_from_json(doc)
+        if fmt == FORESTS_FORMAT:
+            return forests_from_json(doc)
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"{p} is not valid JSON: {exc}") from exc
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt == GRAPH_FORMAT:
-        return graph_from_json(doc)
-    if fmt == VINE_FORMAT:
-        return vine_from_json(doc)
-    if fmt == FORESTS_FORMAT:
-        return forests_from_json(doc)
+    except RecursionError as exc:
+        raise GraphInputError(f"{p} is nested too deeply") from exc
     raise GraphInputError(f"{p}: unknown or missing format field {fmt!r}")
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
-from ._bits import find
+from ._bits import find, iter_bits
 from .errors import InternalDefectError, PosetInputError, PreconditionError
 from .verdict import Verdict, Violation
 
@@ -238,14 +239,18 @@ class VinePoset:
         if unknown:
             raise PosetInputError(f"unknown nodes {sorted(unknown)}")
         kept = [v for v in self.nodes if v in keep_set]
-        items = []
-        for v in kept:
-            below = [u for u in kept if u != v and self.leq(u, v)]
-            covs = [u for u in below
-                    if not any(self.leq(u, w) and self.leq(w, v) and w != u
-                               for w in below if w != v)]
-            items.append((v, self.rank_of[v], covs))
-        return VinePoset.build(items)
+        below = [sum(1 << j for j, u in enumerate(kept) if u != v and self.leq(u, v))
+                 for v in kept]
+        return VinePoset.build(
+            [(v, self.rank_of[v], [kept[j] for j in iter_bits(c)])
+             for v, c in zip(kept, _covers(below))])
+
+
+def _covers(below: list[int]) -> list[int]:
+    """Transitive reduction of a strict order given, for each element, as the
+    bitmask of the elements below it: the bitmask of the elements it covers."""
+    return [mask & ~reduce(or_, map(below.__getitem__, iter_bits(mask)), 0)
+            for mask in below]
 
 
 def _classify(p: VinePoset) -> Classification:
@@ -797,19 +802,14 @@ def root_poset_a(dimension: int) -> VinePoset:
             roots.append(vec)
     roots.sort(key=lambda vec: (sum(vec), vec))
 
-    def rid(vec: tuple[int, ...]) -> str:
-        return "a" + "+a".join(str(t + 1) for t, c in enumerate(vec) if c)
-
-    def below(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-        return u != v and all(cu <= cv for cu, cv in zip(u, v))
-
-    items = []
-    for vec in roots:
-        under = [u for u in roots if below(u, vec)]
-        covs = [rid(u) for u in under
-                if not any(below(u, w) and below(w, vec) for w in under)]
-        items.append((rid(vec), sum(vec), covs))
-    return VinePoset.build(items)
+    ids = ["a" + "+a".join(str(t + 1) for t, c in enumerate(vec) if c)
+           for vec in roots]
+    below = [sum(1 << j for j, u in enumerate(roots)
+                 if u != vec and all(cu <= cv for cu, cv in zip(u, vec)))
+             for vec in roots]
+    return VinePoset.build(
+        [(name, sum(vec), [ids[j] for j in iter_bits(c)])
+         for name, vec, c in zip(ids, roots, _covers(below))])
 
 
 def build_standard(kind: str, dimension: int) -> VinePoset:
@@ -835,13 +835,10 @@ def hat(p: VinePoset) -> VinePoset:
     if len(names) != len(p.nodes):
         raise InternalDefectError("complete unions are not distinct")
     sets = sorted(names, key=lambda s: (len(s), sorted(s, key=natural_key)))
-    items = []
-    for s in sets:
-        strictly_under = [t for t in sets if t < s]
-        covs = [names[t] for t in strictly_under
-                if not any(t < w < s for w in strictly_under)]
-        items.append((names[s], len(s), covs))
-    return VinePoset.build(items)
+    below = [sum(1 << j for j, t in enumerate(sets) if t < s) for s in sets]
+    return VinePoset.build(
+        [(names[s], len(s), [names[sets[j]] for j in iter_bits(c)])
+         for s, c in zip(sets, _covers(below))])
 
 
 def structurally_equal(p: VinePoset, q: VinePoset) -> bool:

@@ -6,7 +6,8 @@ import logging
 import os
 import random
 import re
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -310,6 +311,74 @@ class TestEnumerationDriver:
             assert total(dim, "classes") == classes
         # 28,240 towers at d=7, 23,040 of them over the star
         assert total(7, "towers") == 28240 - 23040
+
+
+def kirchhoff_count(n, edges):
+    """Spanning trees of a simple graph by the matrix-tree theorem: the
+    determinant of its Laplacian with the last row and column removed,
+    computed exactly."""
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for a, b in edges:
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    m = [row[:n - 1] for row in lap[:n - 1]]
+    det = Fraction(1)
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n - 1) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n - 1):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n - 1):
+                m[r][c] -= factor * m[col][c]
+    return int(det)
+
+
+def is_spanning_tree(n, edges):
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(edges) == n - 1 and len(seen) == n
+
+
+class TestSpanningTrees:
+    def test_against_the_matrix_tree_theorem(self):
+        rng = random.Random(2024)
+        disconnected = 0
+        for trial in range(300):
+            n = 1 + trial % 8
+            pairs = list(combinations(range(n), 2))
+            # at most 12 edges keeps the subsets of n - 1 of them few
+            edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 12)))
+            trees = list(enumeration._spanning_trees(n, edges))
+            count = kirchhoff_count(n, edges)
+            assert len(trees) == count, (n, edges)
+            assert len(set(trees)) == len(trees)
+            for tree in trees:
+                assert list(tree) == sorted(set(tree))
+                assert all(0 <= idx < len(edges) for idx in tree)
+                assert is_spanning_tree(n, [edges[idx] for idx in tree])
+            disconnected += count == 0
+        assert disconnected > 10
+
+    def test_single_node_and_complete_graphs(self):
+        assert list(enumeration._spanning_trees(1, [])) == [()]
+        assert list(enumeration._spanning_trees(2, [])) == []
+        for n in range(2, 7):
+            # Cayley: n^(n-2) labeled trees
+            edges = list(combinations(range(n), 2))
+            assert len(list(enumeration._spanning_trees(n, edges))) == n ** (n - 2)
 
 
 def per_mask_agreement(n):

@@ -347,3 +347,85 @@ class TestImport:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def nested_pair(depth):
+    ref = "1"
+    for _ in range(depth):
+        ref = [ref, "2"]
+    return ref
+
+
+GRAPH, VINE, FORESTS = "mat-graph/v1", "vine/v1", "vine-forests/v1"
+MALFORMED = {
+    "bad_utf8": b'{"format": "mat-graph/v1", "vertices": ["\xff"], "edges": []}',
+    "deep_brackets": b"[" * 100_000,
+    "deep_forest_pair": {"format": FORESTS, "elements": ["1", "2"],
+                         "forests": [[nested_pair(900)]]},
+    "not_json": b'{"format": ',
+    "empty_file": b"",
+    "top_level_list": [],
+    "wrong_format": {"format": "nope/v9"},
+    "unhashable_format": {"format": [GRAPH]},
+    "missing_format": {"vertices": ["a"], "edges": []},
+    "vertices_not_list": {"format": GRAPH, "vertices": "ab", "edges": []},
+    "edges_not_list": {"format": GRAPH, "vertices": ["a", "b"], "edges": {}},
+    "edge_row_short": {"format": GRAPH, "vertices": ["a", "b"],
+                       "edges": [["a", "b"]]},
+    "edge_row_string": {"format": GRAPH, "vertices": ["a", "b"], "edges": ["ab"]},
+    "edge_undeclared": {"format": GRAPH, "vertices": ["a", "b"],
+                        "edges": [["a", "z", 1]]},
+    "edge_loop": {"format": GRAPH, "vertices": ["a", "b"], "edges": [["a", "a", 1]]},
+    "label_boolean": {"format": GRAPH, "vertices": ["a", "b"],
+                      "edges": [["a", "b", True]]},
+    "label_zero": {"format": GRAPH, "vertices": ["a", "b"], "edges": [["a", "b", 0]]},
+    "label_string": {"format": GRAPH, "vertices": ["a", "b"],
+                     "edges": [["a", "b", "1"]]},
+    "nodes_not_list": {"format": VINE, "nodes": {}},
+    "node_row_incomplete": {"format": VINE, "nodes": [{"id": "a"}]},
+    "rank_boolean": {"format": VINE,
+                     "nodes": [{"id": "a", "rank": True, "covers": []}]},
+    "covers_not_list": {"format": VINE,
+                        "nodes": [{"id": "a", "rank": 1, "covers": "b"}]},
+    "unknown_cover": {"format": VINE,
+                      "nodes": [{"id": "a", "rank": 1, "covers": ["zz"]}]},
+    "self_cover": {"format": VINE, "nodes": [{"id": "a", "rank": 1, "covers": ["a"]}]},
+    "cyclic_covers": {"format": VINE,
+                      "nodes": [{"id": "a", "rank": 1, "covers": ["b"]},
+                                {"id": "b", "rank": 2, "covers": ["a"]}]},
+    "forest_fields_not_lists": {"format": FORESTS, "elements": "12", "forests": []},
+    "forest_triple": {"format": FORESTS, "elements": ["1", "2", "3"],
+                      "forests": [[["1", "2", "3"]]]},
+    "forest_loop": {"format": FORESTS, "elements": ["1", "2"],
+                    "forests": [[["1", "1"]]]},
+    "forest_number_reference": {"format": FORESTS, "elements": ["1", "2"],
+                                "forests": [[["1", 2]]]},
+    "forest_unknown_reference": {"format": FORESTS, "elements": ["1", "2"],
+                                 "forests": [[["1", "9"]]]},
+    "forest_repeated_pair": {"format": FORESTS, "elements": ["1", "2"],
+                             "forests": [[["1", "2"], ["2", "1"]]]},
+}
+
+
+def file_reading_commands(path, out):
+    return [["check", path], ["convert", "--psi", path, "--out", out],
+            ["convert", "--omega", path, "--out", out], ["count-ideals", path],
+            ["truncate", path, "--k", "1", "--direction", "lower", "--out", out],
+            ["marginalize", path, "--node", "1", "--out", out],
+            ["sampling-order", path], ["embed", path, "--out", out],
+            ["glue", path, path, "--out", out], ["merge", path, path, "--out", out],
+            ["extend", path, "--out", out], ["canon", path]]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_every_file_command_exits_two(self, capsys, tmp_path, name):
+        doc = MALFORMED[name]
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        out = tmp_path / "out.json"
+        for argv in file_reading_commands(str(path), str(out)):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert not out.exists()

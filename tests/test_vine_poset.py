@@ -10,7 +10,8 @@ from matvines import (PosetInputError, VineClass, VinePoset, build_standard,
                       complete_union, cond_sets, count_ideals, d_vine,
                       find_sampling_order, from_forest_sequence, hat,
                       is_sampling_order, iter_ideals, join_and_paths,
-                      marginalize, poset_isomorphism, psi, root_poset_a,
+                      marginalize, poset_isomorphism, psi,
+                      random_mat_labeled_graph, root_poset_a,
                       to_forest_sequence, truncate, union_of)
 from matvines.vine_poset import structurally_equal
 from conftest import five_vertex_graph
@@ -434,6 +435,59 @@ class TestBuilders:
                 assert len(p.nodes) == dim * (dim + 1) // 2
                 for level in range(1, dim + 1):
                     assert len(p.levels[level]) == dim + 1 - level
+
+
+def naive_covers(nodes, lt):
+    """The cover relation straight from its definition: u is covered by v
+    when u < v and no w lies strictly between them."""
+    return {v: {u for u in nodes if lt(u, v)
+                and not any(lt(u, w) and lt(w, v) for w in nodes)}
+            for v in nodes}
+
+
+def cover_sources():
+    vines = [d_vine(d) for d in range(1, 7)] + [c_vine(d) for d in range(1, 7)]
+    vines += [psi(random_mat_labeled_graph(random.Random(s), 3 + s % 6))
+              for s in range(16)]
+    return vines
+
+
+@pytest.mark.parametrize("kind", ["root_poset_a", "hat", "induced_subposet"])
+def test_covers_match_the_naive_definition(kind):
+    if kind == "root_poset_a":
+        for dim in range(1, 9):
+            r = root_poset_a(dim)
+            support = {v: frozenset(int(t) for t in v[1:].split("+a"))
+                       for v in r.nodes}
+            assert set(support.values()) == {
+                frozenset(range(i, j + 1))
+                for i in range(1, dim + 1) for j in range(i, dim + 1)}
+            assert all(r.rank_of[v] == len(support[v]) for v in r.nodes)
+            # componentwise order on 0/1 coefficient vectors is inclusion
+            expected = naive_covers(r.nodes, lambda u, v: support[u] < support[v])
+            assert {v: set(r.covers_of[v]) for v in r.nodes} == expected
+        return
+    rng = random.Random(31)
+    for p in cover_sources():
+        if kind == "hat":
+            h = hat(p)
+            union = {v: complete_union(p, v) for v in p.nodes}
+            expected = naive_covers(list(union.values()), lambda s, t: s < t)
+            image = {v: frozenset(u for u in h.down_set(v) if u in h.minimals)
+                     for v in h.nodes}
+            assert sorted(map(sorted, image.values())) == \
+                sorted(map(sorted, union.values()))
+            assert {image[v]: {image[u] for u in h.covers_of[v]}
+                    for v in h.nodes} == expected
+            assert all(h.rank_of[v] == len(image[v]) for v in h.nodes)
+            continue
+        for _ in range(3):
+            keep = [v for v in p.nodes if rng.random() < 0.6]
+            q = p.induced_subposet(keep)
+            assert q.nodes == tuple(keep)
+            expected = naive_covers(keep, lambda u, v: u != v and p.leq(u, v))
+            assert {v: set(q.covers_of[v]) for v in q.nodes} == expected
+            assert all(q.rank_of[v] == p.rank_of[v] for v in keep)
 
 
 class TestHat:
