@@ -32,30 +32,47 @@ def _canonical_key(n: int, lab: list[list[int]]) -> tuple[int, ...]:
     """Lexicographically least row-by-row encoding over all vertex orders.
 
     Backtracking with prefix pruning; candidate rows are tried in ascending
-    order so the first full descent is already a good bound.
+    order so the first full descent is already a good bound.  A row is held
+    as one base-B integer, B above every label, and grows by one digit when
+    a vertex joins the prefix; rows at one depth have equal length, so
+    integer order is tuple order.  Of two twins (equal label rows outside
+    the pair) only one is tried at a node: swapping them is an automorphism
+    that fixes the prefix, so both give the same encodings.
     """
     if n == 0:
         return ()
-    inv = [tuple(sorted(x for x in row if x)) for row in lab]
+    base = max(2, 1 + max(map(max, lab)))
+    twin = list(range(n))
+    for w in range(n):
+        for v in range(w):
+            swapped = lab[v][:]
+            swapped[v], swapped[w] = swapped[w], swapped[v]
+            if swapped == lab[w]:
+                twin[w] = twin[v]
+                break
     best: list[int] | None = None
 
-    def rec(perm: list[int], rest: list[int], flat: list[int]) -> None:
+    def rec(prefix: list[int], rows: list[tuple[int, int]]) -> None:
         nonlocal best
-        if not rest:
-            if best is None or flat < best:
-                best = list(flat)
+        if not rows:
+            best = prefix
             return
-        scored = sorted(
-            (tuple(lab[v][u] for u in perm), inv[v], v) for v in rest)
-        for row, _, v in scored:
-            nf = flat + list(row)
-            if best is not None and nf > best[:len(nf)]:
+        rows.sort()
+        tried = set()
+        for row, v in rows:
+            if twin[v] in tried:
+                continue
+            tried.add(twin[v])
+            grown = prefix + [row]
+            if best is not None and grown > best[:len(grown)]:
                 break
-            rec(perm + [v], [u for u in rest if u != v], nf)
+            lv = lab[v]
+            rec(grown, [(r * base + lv[u], u) for r, u in rows if u != v])
 
-    rec([], list(range(n)), [])
+    rec([], [(0, v) for v in range(n)])
     assert best is not None
-    return tuple(best)
+    return tuple(row // base ** (k - 1 - i) % base
+                 for k, row in enumerate(best) for i in range(k))
 
 
 def _key_to_matrix(n: int, key: tuple[int, ...]) -> list[list[int]]:
@@ -282,42 +299,42 @@ def _towers_over_tree(dimension: int, t1_edges: list[tuple[int, int]]):
     Yields the finished labeling as a dict {2-bit vertex mask: label}.
     """
     labels: dict[int, int] = {}
-    child_masks = []
     u_masks = []
     for (a, b) in t1_edges:
         pair = (1 << a) | (1 << b)
         labels[pair] = 1
-        child_masks.append(pair)
         u_masks.append(pair)
+    # the moves of a level depend only on its child masks: each spanning
+    # tree of the pairs of nodes that share a child, as its list of pairs,
+    # with the child masks of the level it makes
+    moves: dict[tuple[int, ...], list] = {}
 
-    def descend(children: list[int], unions: list[int], level: int):
+    def descend(children: tuple[int, ...], unions: list[int], level: int):
         q = len(unions)
         if q <= 1:
             yield dict(labels)
             return
-        allowed = [(x, y) for x, y in combinations(range(q), 2)
-                   if children[x] & children[y]]
-        for tree in _spanning_trees(q, allowed):
-            new_children = []
+        if children not in moves:
+            allowed = [(x, y) for x, y in combinations(range(q), 2)
+                       if children[x] & children[y]]
+            moves[children] = [
+                ([allowed[idx] for idx in tree],
+                 tuple((1 << allowed[idx][0]) | (1 << allowed[idx][1])
+                       for idx in tree))
+                for tree in _spanning_trees(q, allowed)]
+        for pairs, new_children in moves[children]:
             new_unions = []
-            added = []
-            for idx in tree:
-                x, y = allowed[idx]
+            for x, y in pairs:
                 cond = unions[x] ^ unions[y]
                 if cond.bit_count() != 2 or cond in labels:
                     raise InternalDefectError("malformed tower level")
                 labels[cond] = level
-                added.append(cond)
-                new_children.append((1 << x) | (1 << y))
                 new_unions.append(unions[x] | unions[y])
             yield from descend(new_children, new_unions, level + 1)
-            for cond in added:
-                del labels[cond]
+            for x, y in pairs:
+                del labels[unions[x] ^ unions[y]]
 
-    if dimension == 1:
-        yield {}
-        return
-    yield from descend(child_masks, u_masks, 2)
+    yield from descend(tuple(u_masks), u_masks, 2)
 
 
 def _tree_automorphisms(n: int, edges: list[tuple[int, int]]
@@ -358,9 +375,11 @@ def _degree_sequence(edges: list[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def _classes_over_tree(dimension: int, t1: list[tuple[int, int]]
-                       ) -> tuple[set[tuple[int, ...]], int, float]:
+                       ) -> tuple[set[tuple[int, ...]], int, int, float, float]:
     """Canonical keys of the towers over one bottom tree that is not the
-    star, with the number of towers generated and the seconds taken.
+    star, with the number of towers generated, the number of orbit keys,
+    and the seconds taken by tower generation with the orbit minima and by
+    the canonical keys.
 
     Two towers over T1 are isomorphic exactly when an automorphism of T1
     maps one onto the other, so each tower is reduced to its orbit key, the
@@ -378,9 +397,11 @@ def _classes_over_tree(dimension: int, t1: list[tuple[int, int]]
     for labels in _towers_over_tree(dimension, t1):
         towers += 1
         orbits.add(min([move(labels) for move in moves]))
+    middle = time.perf_counter()
     keys = {_canonical_key(dimension, _key_to_matrix(dimension, key))
             for key in orbits}
-    return keys, towers, time.perf_counter() - start
+    return (keys, towers, len(orbits), middle - start,
+            time.perf_counter() - middle)
 
 
 def _star_classes(dimension: int) -> set[tuple[int, ...]]:
@@ -416,8 +437,8 @@ def _enumerate_classes(dimension: int, jobs: int = 1) -> set[tuple[int, ...]]:
     other tree goes through ``_classes_over_tree``, in a pool of at most
     ``jobs`` processes (and no more than trees or cores) while the star runs
     in this process.
-    Each tree logs its counts and seconds to the ``matvines`` logger at
-    DEBUG level.
+    Each tree logs its towers, orbit keys and classes, and the seconds of
+    each stage, to the ``matvines`` logger at DEBUG level.
     """
     if dimension == 1:
         return {()}  # the one-vertex graph has no pairs to label
@@ -435,10 +456,12 @@ def _enumerate_classes(dimension: int, jobs: int = 1) -> set[tuple[int, ...]]:
     else:
         parts = map(_classes_over_tree, [dimension] * len(others), others)
         keys = _star_classes(dimension)
-    for t1, (part, towers, seconds) in zip(others, parts):
+    for t1, (part, towers, orbits, tower_s, key_s) in zip(others, parts):
         logger.debug("enumerate d=%d, tree with degrees %s: %d towers, "
-                     "%d classes, %.3f s", dimension, _degree_sequence(t1),
-                     towers, len(part), seconds)
+                     "%d orbit keys, %d classes, %.3f s (towers and orbit "
+                     "minima %.3f s, canonical keys %.3f s)", dimension,
+                     _degree_sequence(t1), towers, orbits, len(part),
+                     tower_s + key_s, tower_s, key_s)
         keys |= part
     return keys
 

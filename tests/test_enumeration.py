@@ -13,11 +13,11 @@ from math import factorial
 import pytest
 
 from matvines import (GraphInputError, InternalDefectError, LabeledGraph,
-                      ResourceLimitError, _bits, enumeration,
+                      ResourceLimitError, _bits, c_vine, enumeration,
                       a047970, are_isomorphic, are_isomorphic_vines,
                       canonical_form, catalan, e_formula,
                       enumerate_mat_labelings_complete, check_mat_labeling,
-                      mat_sc_agreement, poset_isomorphism, psi,
+                      mat_sc_agreement, omega, poset_isomorphism, psi,
                       random_mat_labeled_graph)
 from matvines.cli import main
 from matvines.enumeration import representative_graph, representative_name
@@ -29,6 +29,61 @@ def shuffled_copy(g, rng):
     images = names[:]
     rng.shuffle(images)
     return g.relabel_vertices(dict(zip(names, images)))
+
+
+def reference_canonical_key(n, lab):
+    """Reference key: the least row-by-row encoding over all vertex orders,
+    by backtracking with prefix pruning only, rebuilding every candidate
+    row as a tuple over the whole prefix."""
+    if n == 0:
+        return ()
+    inv = [tuple(sorted(x for x in row if x)) for row in lab]
+    best = None
+
+    def rec(perm, rest, flat):
+        nonlocal best
+        if not rest:
+            if best is None or flat < best:
+                best = list(flat)
+            return
+        scored = sorted(
+            (tuple(lab[v][u] for u in perm), inv[v], v) for v in rest)
+        for row, _, v in scored:
+            nf = flat + list(row)
+            if best is not None and nf > best[:len(nf)]:
+                break
+            rec(perm + [v], [u for u in rest if u != v], nf)
+
+    rec([], list(range(n)), [])
+    return tuple(best)
+
+
+def random_label_matrix(rng, n, density, labels):
+    lab = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            lab[i][j] = lab[j][i] = rng.randint(1, labels)
+    return lab
+
+
+def star_graph(n):
+    names = [str(i) for i in range(n)]
+    return LabeledGraph.build(names, [("0", v, 1) for v in names[1:]])
+
+
+def complete_bipartite_graph(a, b):
+    left = [f"a{i}" for i in range(a)]
+    right = [f"b{j}" for j in range(b)]
+    return LabeledGraph.build(left + right,
+                              [(u, v, 1) for u in left for v in right])
+
+
+SYMMETRIC_FAMILIES = {
+    "star K1,n-1": [star_graph(n) for n in range(1, 13)],
+    "K_a,b": [complete_bipartite_graph(a, b)
+              for a in range(1, 12) for b in range(a, 13 - a)],
+    "omega(c_vine(d))": [omega(c_vine(d)) for d in range(1, 13)],
+}
 
 
 class TestCanonicalForm:
@@ -69,6 +124,43 @@ class TestCanonicalForm:
                            max(witness[u], witness[v])): k
                           for (u, v), k in g.labels.items()}
                 assert mapped == h.labels
+
+
+class TestCanonicalKey:
+    def test_matches_the_reference_on_random_graphs(self):
+        rng = random.Random(2027)
+        # the edgeless and the complete one-label graphs, then 2,016 draws
+        # over every vertex count, four densities and one to four labels
+        graphs = [random_label_matrix(rng, n, density, 1)
+                  for n in range(9) for density in (0.0, 1.0)]
+        graphs += [random_label_matrix(rng, trial % 9,
+                                       (0.2, 0.5, 0.8, 0.9)[trial // 9 % 4],
+                                       1 + trial // 36 % 4)
+                   for trial in range(2016)]
+        for lab in graphs:
+            n = len(lab)
+            assert enumeration._canonical_key(n, lab) == \
+                reference_canonical_key(n, lab), (n, lab)
+
+    def test_matches_the_reference_on_relabeled_representatives(self):
+        rng = random.Random(560)
+        report = enumerate_mat_labelings_complete(7, with_representatives=True)
+        for key, rep in zip(report.keys, report.representatives):
+            n, _, lab = shuffled_copy(rep, rng)._bit_form()
+            assert enumeration._canonical_key(n, lab) == key == \
+                reference_canonical_key(n, lab)
+
+    @pytest.mark.parametrize("family", sorted(SYMMETRIC_FAMILIES))
+    def test_symmetric_graphs(self, family):
+        rng = random.Random(family)
+        for g in SYMMETRIC_FAMILIES[family]:
+            base = canonical_form(g)
+            for _ in range(20):
+                assert canonical_form(shuffled_copy(g, rng)) == base, g.labels
+            n, _, lab = g._bit_form()
+            if n <= 8:
+                assert enumeration._canonical_key(n, lab) == \
+                    reference_canonical_key(n, lab), g.labels
 
 
 class TestAreIsomorphic:
@@ -193,10 +285,52 @@ def per_tower_classes(dimension, trees=None):
     bottom tree (by default one tree per isomorphism class)."""
     if trees is None:
         trees = enumeration._tree_representatives(dimension)
-    return {enumeration._canonical_key(dimension,
-                                       labels_to_matrix(dimension, labels))
+    return {reference_canonical_key(dimension,
+                                    labels_to_matrix(dimension, labels))
             for t1 in trees
             for labels in enumeration._towers_over_tree(dimension, t1)}
+
+
+def reference_towers_over_tree(dimension, t1_edges):
+    """Reference tower generator: each level's allowed pairs and spanning
+    trees are computed again at every tower."""
+    labels = {}
+    child_masks = []
+    u_masks = []
+    for (a, b) in t1_edges:
+        pair = (1 << a) | (1 << b)
+        labels[pair] = 1
+        child_masks.append(pair)
+        u_masks.append(pair)
+
+    def descend(children, unions, level):
+        q = len(unions)
+        if q <= 1:
+            yield dict(labels)
+            return
+        allowed = [(x, y) for x, y in combinations(range(q), 2)
+                   if children[x] & children[y]]
+        for tree in enumeration._spanning_trees(q, allowed):
+            new_children = []
+            new_unions = []
+            added = []
+            for idx in tree:
+                x, y = allowed[idx]
+                cond = unions[x] ^ unions[y]
+                if cond.bit_count() != 2 or cond in labels:
+                    raise InternalDefectError("malformed tower level")
+                labels[cond] = level
+                added.append(cond)
+                new_children.append((1 << x) | (1 << y))
+                new_unions.append(unions[x] | unions[y])
+            yield from descend(new_children, new_unions, level + 1)
+            for cond in added:
+                del labels[cond]
+
+    if dimension == 1:
+        yield {}
+        return
+    yield from descend(child_masks, u_masks, 2)
 
 
 def star(dimension):
@@ -233,6 +367,12 @@ class TestEnumerationDriver:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_matches_per_tower_route(self, dim):
         assert enumeration._enumerate_classes(dim) == per_tower_classes(dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
+    def test_towers_match_the_reference_generator(self, dim):
+        for t1 in enumeration._tree_representatives(dim):
+            assert list(enumeration._towers_over_tree(dim, t1)) == \
+                list(reference_towers_over_tree(dim, t1)), t1
 
     @pytest.mark.parametrize("dim", [5, 6])
     def test_star_lift_matches_towers_over_the_star(self, dim):
@@ -311,6 +451,18 @@ class TestEnumerationDriver:
             assert total(dim, "classes") == classes
         # 28,240 towers at d=7, 23,040 of them over the star
         assert total(7, "towers") == 28240 - 23040
+        # over a tree that is not the star, isomorphic towers are exactly
+        # the orbits of its automorphism group
+        trees = [m for m in messages if " tree with degrees " in m]
+        assert trees
+        for m in trees:
+            counts = re.search(r"(\d+) orbit keys, (\d+) classes, ([\d.]+) s "
+                               r"\(towers and orbit minima ([\d.]+) s, "
+                               r"canonical keys ([\d.]+) s\)$", m)
+            assert counts, m
+            orbits, classes, seconds, tower_s, key_s = counts.groups()
+            assert orbits == classes
+            assert abs(float(seconds) - float(tower_s) - float(key_s)) <= 0.002
 
 
 def kirchhoff_count(n, edges):

@@ -284,6 +284,17 @@ class TestOtherCommands:
         _, doc2 = run_cli(capsys, "canon", str(p2))
         assert doc1["canonical"] == doc2["canonical"]
 
+    def test_canon_of_a_star(self, capsys, tmp_path):
+        # ten leaves are 10! vertex orders; they are twins, so one is tried
+        leaves = [f"leaf{i}" for i in range(10)]
+        path = tmp_path / "star.json"
+        mio.save_structure(LabeledGraph.build(
+            leaves + ["centre"], [("centre", v, 1) for v in leaves]), path)
+        code, doc = run_cli(capsys, "canon", str(path))
+        assert code == 0
+        # the leaves first, so every row is 0 but the centre's last row
+        assert doc == {"canonical": "11:" + ",".join(["0"] * 45 + ["1"] * 10)}
+
 
 # A 14-vertex MAT-labeled graph (random_mat_labeled_graph, seed 0); a
 # search over the labels of its 71 missing edges runs for more than 6 s.
