@@ -71,6 +71,29 @@ def shortest_path(adj: list[int], start: int, goal: int) -> list[int] | None:
     return None
 
 
+def forest_cycle(n: int, edges, queries=()):
+    """Grow a forest on 0..n-1 from ``edges`` in order by union-find.
+
+    Returns ``((u, v), path)`` for the first edge whose ends the forest
+    grown so far already joins, or else for the first query pair whose ends
+    the finished forest joins; ``path`` is the forest path from u to v.
+    Returns None when neither happens.
+    """
+    parent = list(range(n))
+    forest = [0] * n
+    for u, v in edges:
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
+            return (u, v), shortest_path(forest, u, v)
+        parent[ru] = rv
+        forest[u] |= 1 << v
+        forest[v] |= 1 << u
+    for u, v in queries:
+        if find(parent, u) == find(parent, v):
+            return (u, v), shortest_path(forest, u, v)
+    return None
+
+
 def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
     """First violated labeling axiom, or None.
 
@@ -83,22 +106,11 @@ def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
         ai = adj[i]
         for j in iter_bits(ai >> (i + 1) << (i + 1)):
             by_label.setdefault(lab[i][j], []).append((i, j))
-    ks = sorted(by_label)
-    for k in ks:
-        forest = [0] * n
-        for (u, v) in by_label[k]:
-            path = shortest_path(forest, u, v)
-            if path is not None:
-                return ("ML1", (u, v), tuple(path))
-            forest[u] |= 1 << v
-            forest[v] |= 1 << u
-        for kk in ks:
-            if kk >= k:
-                break
-            for (u, v) in by_label[kk]:
-                path = shortest_path(forest, u, v)
-                if path is not None:
-                    return ("ML1", (u, v), tuple(path))
+    lower: list[tuple[int, int]] = []
+    for k in sorted(by_label):
+        hit = forest_cycle(n, by_label[k], lower)
+        if hit is not None:
+            return ("ML1", hit[0], tuple(hit[1]))
         for (u, v) in by_label[k]:
             cond = 0
             for w in iter_bits(adj[u] & adj[v]):
@@ -106,6 +118,7 @@ def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
                     cond += 1
             if cond != k - 1:
                 return ("ML2", (u, v), cond)
+        lower += by_label[k]
     return None
 
 

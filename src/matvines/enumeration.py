@@ -500,7 +500,6 @@ def representative_name(dimension: int, key: tuple[int, ...]) -> str:
 def enumerate_mat_labelings_complete(
         dimension: int, *,
         allow_large: bool = False,
-        dimension_bound: int = DEFAULT_DIMENSION_BOUND,
         with_representatives: bool = False,
         jobs: int = 1) -> EnumerationReport:
     """Count the valid labelings of the complete graph up to isomorphism.
@@ -515,15 +514,15 @@ def enumerate_mat_labelings_complete(
     its canonical key once; with ``with_representatives`` the report holds
     one graph per class and its key, sorted by key.  ``jobs`` bounds the
     worker processes for the trees other than the star.  Dimensions above
-    the bound are refused unless explicitly allowed; nothing is ever
-    silently truncated.
+    ``DEFAULT_DIMENSION_BOUND`` are refused unless ``allow_large`` is set;
+    nothing is ever silently truncated.
     """
     if dimension < 1:
         raise GraphInputError("dimension must be at least 1")
-    if dimension > dimension_bound and not allow_large:
+    if dimension > DEFAULT_DIMENSION_BOUND and not allow_large:
         raise ResourceLimitError(
             f"dimension {dimension} exceeds the configured bound "
-            f"{dimension_bound}; pass allow_large=True to proceed")
+            f"{DEFAULT_DIMENSION_BOUND}; pass allow_large=True to proceed")
     start = time.perf_counter()
     keys = _enumerate_classes(dimension, jobs=jobs)
     elapsed = (time.perf_counter() - start) * 1000.0

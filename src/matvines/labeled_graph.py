@@ -320,8 +320,7 @@ def maximal_cliques(g: Graph | LabeledGraph) -> list[frozenset[str]]:
     return sorted(cliques, key=lambda c: (len(c), sorted(c)))
 
 
-def _check_overlap(g1: LabeledGraph, g2: LabeledGraph,
-                   require_inputs_complete: bool) -> frozenset[str]:
+def _check_overlap(g1: LabeledGraph, g2: LabeledGraph) -> frozenset[str]:
     shared = frozenset(g1.vertices) & frozenset(g2.vertices)
     r1 = g1.restrict(shared)
     r2 = g2.restrict(shared)
@@ -338,8 +337,6 @@ def _check_overlap(g1: LabeledGraph, g2: LabeledGraph,
         verdict = check_mat_labeling(g)
         if not verdict.ok:
             raise PreconditionError(f"{tag} input is not MAT-labeled: {verdict.violation}")
-        if require_inputs_complete and not g.is_complete():
-            raise PreconditionError(f"{tag} input is not a complete graph")
     overlap_check = check_mat_labeling(r1)
     if not overlap_check.ok:
         raise PreconditionError(
@@ -349,7 +346,7 @@ def _check_overlap(g1: LabeledGraph, g2: LabeledGraph,
 
 def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """Union of two labeled graphs over a shared complete subgraph."""
-    _check_overlap(g1, g2, require_inputs_complete=False)
+    _check_overlap(g1, g2)
     verts = list(g1.vertices) + [v for v in g2.vertices if v not in set(g1.vertices)]
     items = {e: k for e, k in g1.labels.items()}
     items.update(g2.labels)
@@ -366,8 +363,11 @@ def merge_complete(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     The inputs are glued over their shared complete subgraph and the vine of
     the glued graph is grown into a regular vine (:func:`_grow_to_complete`).
     """
-    _check_overlap(g1, g2, require_inputs_complete=True)
-    return _grow_to_complete(glue(g1, g2))
+    glued = glue(g1, g2)
+    for tag, g in (("first", g1), ("second", g2)):
+        if not g.is_complete():
+            raise PreconditionError(f"{tag} input is not a complete graph")
+    return _grow_to_complete(glued)
 
 
 def extend_to_complete(g: LabeledGraph) -> LabeledGraph:

@@ -9,7 +9,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator
 
-from ._bits import find, iter_bits
+from ._bits import find, forest_cycle, iter_bits, shortest_path
 from .errors import InternalDefectError, PosetInputError, PreconditionError
 from .verdict import Verdict, Violation
 
@@ -213,20 +213,17 @@ class VinePoset:
         return out
 
     @cached_property
-    def _forest_adjacency(self) -> dict[int, dict[str, list[str]]]:
-        """Per level i: node -> its neighbours in the level-i forest, whose
-        edges are the pairs covered at level i+1."""
-        out: dict[int, dict[str, list[str]]] = {
-            r: {v: [] for v in vs} for r, vs in self.levels.items()}
-        for v, cs in self.covers_of.items():
-            if len(cs) != 2:
-                continue
-            a, b = cs
-            level = self.rank_of[v] - 1
-            if self.rank_of[a] == self.rank_of[b] == level and level in out:
-                out[level][a].append(b)
-                out[level][b].append(a)
-        return out
+    def _forest_adjacency(self) -> list[int]:
+        """Neighbour bitmasks over node indices of the level forests of a
+        vine, whose edges are the pairs covered one rank up.  An edge joins
+        two nodes of one rank, so one list holds every level."""
+        adj = [0] * len(self.nodes)
+        for cs in self.covers:
+            if len(cs) == 2:
+                a, b = self.index[cs[0]], self.index[cs[1]]
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        return adj
 
     @cached_property
     def classification(self) -> Classification:
@@ -280,12 +277,16 @@ def _classify(p: VinePoset) -> Classification:
                 "NotVine", subject=(seen_pairs[key], v),
                 message="two nodes cover the same pair"))
         seen_pairs[key] = v
-    for level in sorted(p.levels):
-        cycle = _level_forest_cycle(p, level)
-        if cycle is not None:
-            return Classification(VineClass.NOT_VINE, Violation(
-                "NotVine", subject=cycle, cycle=cycle,
-                message=f"level {level} is not a forest"))
+    # every level forest grows in one pass: an edge joins two nodes of one
+    # rank, so the first edge to close a cycle lies in the lowest cyclic level
+    hit = forest_cycle(len(p.nodes), [
+        (p.index[cs[0]], p.index[cs[1]])
+        for r in sorted(p.levels) for cs in map(p.covers_of.get, p.levels[r]) if cs])
+    if hit is not None:
+        cycle = tuple(p.nodes[t] for t in hit[1])
+        return Classification(VineClass.NOT_VINE, Violation(
+            "NotVine", subject=cycle, cycle=cycle,
+            message=f"level {p.rank_of[cycle[0]]} is not a forest"))
     witness = _proximity_witness(p)
     if witness is not None:
         return Classification(VineClass.VINE, Violation(
@@ -294,52 +295,6 @@ def _classify(p: VinePoset) -> Classification:
     if _is_regular_shape(p):
         return Classification(VineClass.R_VINE)
     return Classification(VineClass.LR_VINE)
-
-
-def _level_forest_cycle(p: VinePoset, level: int) -> tuple[str, ...] | None:
-    parent = {v: v for v in p.levels[level]}
-    adjacency: dict[str, list[str]] = {v: [] for v in p.levels[level]}
-    for v in p.levels.get(level + 1, ()):
-        cs = p.covers_of[v]
-        if len(cs) != 2:
-            continue
-        a, b = cs
-        ra, rb = find(parent, a), find(parent, b)
-        if ra == rb:
-            path = _forest_path(adjacency, a, b)
-            if path is None:
-                raise InternalDefectError(
-                    "expected a connecting path in the level forest")
-            return tuple(path)
-        parent[ra] = rb
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return None
-
-
-def _forest_path(adjacency: dict[str, list[str]], start: str, goal: str
-                 ) -> list[str] | None:
-    """The path between two nodes of a forest given by adjacency lists, or
-    None when they are not both nodes of it or not connected."""
-    if start not in adjacency or goal not in adjacency:
-        return None
-    prev: dict[str, str | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if v == goal:
-                path = [v]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            for u in adjacency[v]:
-                if u not in prev:
-                    prev[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    return None
 
 
 def _proximity_witness(p: VinePoset) -> tuple[str, ...] | None:
@@ -566,24 +521,20 @@ def join_and_paths(p: VinePoset, i: str, j: str) -> JoinPaths | None:
             raise PosetInputError(f"node {x!r} is not minimal")
     if i == j:
         raise PosetInputError("the two minimal nodes must be distinct")
-    level = 1
-    path = _forest_path(p._forest_adjacency.get(level, {}), i, j)
-    if path is None:
-        return None
-    paths = [tuple(path)]
-    while len(path) > 1:
-        first = frozenset((path[0], path[1]))
-        last = frozenset((path[-2], path[-1]))
-        top1 = p._pair_parent.get(first)
-        top2 = p._pair_parent.get(last)
-        if top1 is None or top2 is None:
+    paths = []
+    ends = (i, j)
+    while True:
+        found = shortest_path(p._forest_adjacency, *map(p.index.__getitem__, ends))
+        if found is None:
             return None
-        level += 1
-        path = _forest_path(p._forest_adjacency.get(level, {}), top1, top2)
-        if path is None:
+        path = tuple(p.nodes[t] for t in found)
+        paths.append(path)
+        if len(path) == 1:
+            return JoinPaths(join=path[0], paths=tuple(paths))
+        ends = (p._pair_parent.get(frozenset(path[:2])),
+                p._pair_parent.get(frozenset(path[-2:])))
+        if None in ends:
             return None
-        paths.append(tuple(path))
-    return JoinPaths(join=path[0], paths=tuple(paths))
 
 
 def truncate(p: VinePoset, k: int, direction: str) -> VinePoset:
@@ -620,12 +571,7 @@ def marginalize(p: VinePoset, v: str) -> tuple[VinePoset, bool]:
         if p.covers_of[x] and v in cond_sets(p, x)[0]:
             drop.add(x)
     q = p.induced_subposet([x for x in p.nodes if x not in drop])
-    graded = all(
-        q.rank_of[x] - q.rank_of[c] == 1
-        for x in q.nodes for c in q.covers_of[x])
-    graded = graded and all(
-        q.rank_of[x] == 1 for x in q.nodes if not q.covers_of[x])
-    return q, graded
+    return q, classify(q).kind != VineClass.NOT_GRADED
 
 
 def is_sampling_order(p: VinePoset, order: Iterable[str]) -> Verdict:

@@ -191,6 +191,30 @@ class TestCheckMatLabeling:
     def test_star_k4_valid(self, c4_graph):
         assert check_mat_labeling(c4_graph).ok
 
+    def test_ml1_witness_is_a_path_of_one_label_class(self):
+        # the cycle of an ML1 failure is a simple path joining the ends of
+        # the failing edge inside one label class, of that edge's label or
+        # (a shortcut) a higher one
+        rng = random.Random(97)
+        seen = {"same": 0, "higher": 0}
+        for _ in range(1500):
+            names = [f"v{i}" for i in range(rng.randint(1, 9))]
+            top = rng.randint(1, 4)
+            g = LabeledGraph.build(names, [
+                (a, b, rng.randint(1, top))
+                for a, b in combinations(names, 2) if rng.random() < 0.5])
+            verdict = check_mat_labeling(g)
+            if verdict.ok or verdict.violation.tag != "ML1":
+                continue
+            u, v = verdict.violation.subject
+            cycle = verdict.violation.cycle
+            assert (cycle[0], cycle[-1]) == (u, v)
+            assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+            labels = {g.label_of(a, b) for a, b in zip(cycle, cycle[1:])}
+            assert len(labels) == 1 and min(labels) >= g.label_of(u, v)
+            seen["same" if labels == {g.label_of(u, v)} else "higher"] += 1
+        assert min(seen.values()) >= 50, seen
+
     def test_five_vertex_example_valid(self, lrv_graph):
         assert check_mat_labeling(lrv_graph).ok
 
@@ -445,6 +469,17 @@ class TestMergeComplete:
         g1 = LabeledGraph.build(["a", "b", "c"], [("a", "b", 1)])
         with pytest.raises(PreconditionError):
             merge_complete(g1, g1)
+
+    def test_labelings_are_checked_before_completeness(self):
+        path = LabeledGraph.build(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])
+        edge = LabeledGraph.build(["c", "d"], [("c", "d", 1)])
+        bad = LabeledGraph.build(["c", "d"], [("c", "d", 2)])
+        with pytest.raises(PreconditionError, match="second input is not MAT-labeled"):
+            merge_complete(path, bad)
+        with pytest.raises(PreconditionError, match="first input is not a complete graph"):
+            merge_complete(path, edge)
+        with pytest.raises(PreconditionError, match="second input is not a complete graph"):
+            merge_complete(edge, path)
 
     def test_agrees_with_backtracking_oracle(self):
         # random merge inputs on at most 7 vertices: both succeed, and the

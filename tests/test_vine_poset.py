@@ -1,11 +1,13 @@
 """Classification and structural operations on graded posets."""
 
 import random
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
 
-from matvines import (PosetInputError, VineClass, VinePoset, build_standard,
+from matvines import (ForestSequence, PosetInputError, VineClass, VinePoset,
+                      build_standard,
                       c_vine, classify, classify_via_principal_ideals,
                       complete_union, cond_sets, count_ideals, d_vine,
                       find_sampling_order, from_forest_sequence, hat,
@@ -31,6 +33,18 @@ def brute_force_ideal_count(p, mode):
                 continue
             total += 1
     return total
+
+
+def has_cycle(edges):
+    """Leaf stripping: a graph has a cycle exactly when some edge survives
+    removing the vertices of degree one over and over."""
+    edges = set(edges)
+    while True:
+        degree = Counter(x for e in edges for x in e)
+        leaves = {x for x, d in degree.items() if d == 1}
+        if not leaves:
+            return bool(edges)
+        edges = {e for e in edges if not e & leaves}
 
 
 def brute_force_join(p, x, y):
@@ -79,6 +93,34 @@ class TestClassify:
             ("a", 2, ["1", "2"]), ("b", 2, ["2", "3"]), ("c", 2, ["1", "3"]),
             ("x", 3, ["a", "b"]), ("y", 3, ["b", "c"]), ("z", 3, ["a", "c"])])
         assert classify(p).kind == VineClass.NOT_VINE
+
+    def test_level_cycle_witness_lies_in_the_lowest_cyclic_level(self):
+        # random towers whose levels are arbitrary graphs, not only forests
+        rng = random.Random(89)
+        cyclic = 0
+        for _ in range(400):
+            elements = tuple(str(i) for i in range(rng.randint(3, 6)))
+            level, forests = elements, []
+            while len(level) >= 2 and len(forests) < 4:
+                pairs = [frozenset(e) for e in combinations(level, 2)]
+                level = tuple(rng.sample(pairs, rng.randint(1, min(len(pairs),
+                                                                   len(level) + 1))))
+                forests.append(level)
+            p = from_forest_sequence(ForestSequence(elements, tuple(forests)))
+            c = classify(p)
+            ranks = [r for r, f in enumerate(forests, start=1) if has_cycle(f)]
+            assert (c.kind == VineClass.NOT_VINE) == bool(ranks)
+            if not ranks:
+                continue
+            cyclic += 1
+            cycle = c.witness.cycle
+            assert c.witness.message == f"level {ranks[0]} is not a forest"
+            assert {p.rank_of[x] for x in cycle} == {ranks[0]}
+            assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+            covered = {frozenset(p.covers_of[x]) for x in p.nodes}
+            assert all(frozenset(e) in covered
+                       for e in zip(cycle, cycle[1:] + cycle[:1]))
+        assert cyclic >= 100
 
     def test_empty_poset_is_vacuously_regular(self):
         assert classify(VinePoset.build([])).kind == VineClass.R_VINE
