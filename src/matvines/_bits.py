@@ -310,40 +310,24 @@ def find_sun(n: int, adj: list[int]):
 
 
 def _close_sun_cycle(inner, pairs):
-    """Order the outer vertices along a single cycle through the inner clique."""
-    s = len(inner)
-    masks = [nb for _, nb in pairs]
-    if len(set(masks)) != s:
-        return None
-    deg = {v: 0 for v in inner}
-    for nb in masks:
-        for v in iter_bits(nb):
-            if v not in deg:
-                return None
-            deg[v] += 1
-    if any(d != 2 for d in deg.values()):
-        return None
-    # a 2-regular graph is a single cycle iff a walk closes only after s steps
-    edge_of = {nb: o for o, nb in pairs}
-    start = inner[0]
-    cycle = [start]
-    used: set[int] = set()
-    outer_seq = []
-    cur = start
-    for _ in range(s):
-        found = None
-        for nb in masks:
-            if nb not in used and (nb >> cur) & 1:
-                found = nb
-                break
+    """Order the outer vertices along a single cycle through the inner clique.
+
+    ``pairs`` holds one (outer vertex, mask of its two inner neighbours) per
+    inner vertex.  The walk from ``inner[0]`` takes the first unused pair at
+    the current vertex; the pairs form one cycle exactly when it uses every
+    pair and closes only after visiting each inner vertex once.
+    """
+    unused = list(pairs)
+    cycle, outer_seq = [inner[0]], []
+    while unused:
+        cur = cycle[-1]
+        found = next((pair for pair in unused if pair[1] >> cur & 1), None)
         if found is None:
             return None
-        used.add(found)
-        outer_seq.append(edge_of[found])
-        cur = (found & ~(1 << cur)).bit_length() - 1
-        if len(cycle) < s:
-            cycle.append(cur)
-    if cur != start or len(set(cycle)) != s:
+        unused.remove(found)
+        outer_seq.append(found[0])
+        cycle.append((found[1] & ~(1 << cur)).bit_length() - 1)
+    if cycle.pop() != inner[0] or len(set(cycle)) != len(inner):
         return None
     return tuple(cycle), tuple(outer_seq)
 

@@ -691,8 +691,10 @@ def mat_sc_agreement(n: int, progress: bool = False) -> AgreementReport:
 
 def random_chordal_graph(rng: random.Random, n_vertices: int) -> Graph:
     """Random chordal graph grown by attaching each new vertex to a clique."""
+    if n_vertices < 0:
+        raise GraphInputError(f"vertex count {n_vertices} is negative")
     names = [f"v{i + 1}" for i in range(n_vertices)]
-    adj: dict[str, set[str]] = {names[0]: set()}
+    adj: dict[str, set[str]] = {v: set() for v in names[:1]}
     for v in names[1:]:
         clique: set[str] = set()
         existing = sorted(adj)

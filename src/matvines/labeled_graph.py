@@ -376,11 +376,9 @@ def extend_to_complete(g: LabeledGraph) -> LabeledGraph:
     The vine of ``g`` is an ideal of a regular vine; that vine is grown
     level by level (:func:`_grow_to_complete`) and its labeled graph is the
     completion.  Where the completion is not unique, the vertex order
-    decides which one is returned.
+    decides which one is returned.  An invalid labeling is refused by
+    :func:`principal_cliques`, the first step of the growth.
     """
-    verdict = check_mat_labeling(g)
-    if not verdict.ok:
-        raise PreconditionError(f"graph is not MAT-labeled: {verdict.violation}")
     out = _grow_to_complete(g)
     for e, k in g.labels.items():
         if out.labels[e] != k:

@@ -735,27 +735,24 @@ def root_poset_a(dimension: int) -> VinePoset:
     """Poset of the positive roots of the type-A root system, ordered by
     componentwise difference and graded by height.
 
-    Built directly from coefficient vectors, independently of the vine
-    constructors, so isomorphism with the path-tree vine is a checkable
-    fact rather than a construction artifact.
+    The root e_i + ... + e_j is the interval [i, j], and componentwise order
+    on such 0/1 vectors is interval containment.  Built directly from the
+    roots, independently of the vine constructors, so isomorphism with the
+    path-tree vine is a checkable fact rather than a construction artifact.
     """
     if dimension < 1:
         raise PosetInputError("dimension must be at least 1")
-    roots = []
-    for i in range(1, dimension + 1):
-        for j in range(i, dimension + 1):
-            vec = tuple(1 if i <= t <= j else 0 for t in range(1, dimension + 1))
-            roots.append(vec)
-    roots.sort(key=lambda vec: (sum(vec), vec))
-
-    ids = ["a" + "+a".join(str(t + 1) for t, c in enumerate(vec) if c)
-           for vec in roots]
-    below = [sum(1 << j for j, u in enumerate(roots)
-                 if u != vec and all(cu <= cv for cu, cv in zip(u, vec)))
-             for vec in roots]
+    # by height, then the later start first (the order of the 0/1 vectors)
+    roots = sorted(((i, j) for i in range(1, dimension + 1)
+                    for j in range(i, dimension + 1)),
+                   key=lambda r: (r[1] - r[0], -r[0]))
+    ids = ["a" + "+a".join(map(str, range(i, j + 1))) for i, j in roots]
+    below = [sum(1 << k for k, (a, b) in enumerate(roots)
+                 if i <= a and b <= j and (a, b) != (i, j))
+             for i, j in roots]
     return VinePoset.build(
-        [(name, sum(vec), [ids[j] for j in iter_bits(c)])
-         for name, vec, c in zip(ids, roots, _covers(below))])
+        [(name, j - i + 1, [ids[k] for k in iter_bits(c)])
+         for name, (i, j), c in zip(ids, roots, _covers(below))])
 
 
 def build_standard(kind: str, dimension: int) -> VinePoset:

@@ -18,7 +18,7 @@ from matvines import (GraphInputError, InternalDefectError, LabeledGraph,
                       canonical_form, catalan, e_formula,
                       enumerate_mat_labelings_complete, check_mat_labeling,
                       mat_sc_agreement, omega, poset_isomorphism, psi,
-                      random_mat_labeled_graph)
+                      random_chordal_graph, random_mat_labeled_graph)
 from matvines.cli import main
 from matvines.enumeration import representative_graph, representative_name
 from conftest import five_vertex_graph
@@ -584,6 +584,22 @@ def per_mask_agreement(n):
         if sc != mat:
             bad.append(mask)
     return total, sc_count, mat_count, tuple(bad)
+
+
+class TestRandomGraphs:
+    def test_zero_vertices_give_the_empty_graph(self):
+        rng = random.Random(3)
+        assert random_chordal_graph(rng, 0).vertices == ()
+        g = random_mat_labeled_graph(rng, 0)
+        assert g.vertices == () and g.labels == {}
+
+    def test_negative_vertex_count_is_refused(self):
+        rng = random.Random(3)
+        for n in (-1, -5):
+            with pytest.raises(GraphInputError):
+                random_chordal_graph(rng, n)
+            with pytest.raises(GraphInputError):
+                random_mat_labeled_graph(rng, n)
 
 
 class TestAgreementDriver:

@@ -1,21 +1,99 @@
 """Conversions between graphs and vines, lifting, round trips, embedding,
 and the pushout check."""
 
+import ast
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from matvines import (GraphMorphism, LabeledGraph, MorphismError,
-                      PreconditionError, VineClass, check_mat_labeling,
-                      check_pushout, classify, classify_via_principal_ideals,
-                      complete_union, cond_sets, embed_in_r_vine,
-                      extend_to_complete, glue, lift_graph_morphism,
-                      lift_poset_morphism, maximal_cliques, omega,
-                      poset_isomorphism, psi, random_mat_labeled_graph,
-                      roundtrip_check, truncate)
-from matvines.functors import enumerate_homomorphisms
+from matvines import (GraphMorphism, InternalDefectError, LabeledGraph,
+                      MorphismError, PreconditionError, Verdict, VineClass,
+                      check_mat_labeling, check_pushout, classify,
+                      classify_via_principal_ideals, complete_union, cond_sets,
+                      d_vine, embed_in_r_vine, extend_to_complete, glue,
+                      lift_graph_morphism, lift_poset_morphism,
+                      maximal_cliques, omega, poset_isomorphism, psi,
+                      random_mat_labeled_graph, root_poset_a, roundtrip_check,
+                      truncate)
+from matvines import functors
+from matvines.functors import (PosetMorphism, _check_ideal_embedding, _join,
+                               enumerate_homomorphisms,
+                               validate_poset_morphism)
 from matvines.vine_poset import VinePoset
 from conftest import seven_vertex_graph
+from test_vine_poset import brute_force_join
+
+
+def random_graded_poset(rng, n):
+    """Random poset on n nodes: a node of rank r > 1 covers one to three
+    nodes of rank r - 1 (not necessarily a vine)."""
+    items, by_rank = [], {}
+    for i in range(n):
+        r = min(rng.randint(1, 4), len(by_rank) + 1)
+        lower = by_rank.get(r - 1, [])
+        items.append((f"n{i}", r, rng.sample(lower, min(len(lower), rng.randint(1, 3)))))
+        by_rank.setdefault(r, []).append(f"n{i}")
+    return VinePoset.build(items)
+
+
+def poset_pool(rng):
+    """Vines of random graphs, their lower truncations, type-A root posets
+    and random graded posets."""
+    vines = [psi(random_mat_labeled_graph(rng, rng.randint(1, 7))) for _ in range(30)]
+    pool = vines + [truncate(p, k, "lower") for p in vines[:10] for k in range(1, p.rank)]
+    pool += [root_poset_a(d) for d in range(1, 6)]
+    return pool + [random_graded_poset(rng, rng.randint(1, 9)) for _ in range(40)]
+
+
+def reference_verdict(m):
+    """First failed property of a poset map by pairwise comparison, or None."""
+    p, q, f = m.source, m.target, m.mapping
+    if not all(q.leq(f[a], f[b]) for a in p.nodes for b in p.nodes if p.leq(a, b)):
+        return "order"
+    if any(p.rank_of[v] != q.rank_of[f[v]] for v in p.nodes):
+        return "rank"
+    for a, b in combinations(p.nodes, 2):
+        j = brute_force_join(p, a, b)
+        if j is not None and brute_force_join(q, f[a], f[b]) != f[j]:
+            return "join"
+    return None
+
+
+def reference_check_pushout(g1, g2, overlap, glued, targets=()):
+    """The pushout check that enumerated every map out of the glued graph to
+    count the mediators of each cocone; the oracle for check_pushout."""
+    shared = set(g1.vertices) & set(g2.vertices)
+    if set(overlap.vertices) != shared:
+        raise PreconditionError("overlap vertices must be the shared vertices")
+    for g, tag in ((g1, "first"), (g2, "second")):
+        if overlap.labels != {e: k for e, k in g.restrict(shared).labels.items()}:
+            raise PreconditionError(f"overlap does not match the {tag} input")
+    expected = glue(g1, g2)
+    if (set(glued.vertices) != set(expected.vertices)
+            or glued.labels != expected.labels):
+        return Verdict.failed("Commutation",
+                              message="glued graph is not the union of the pieces")
+    for t_index, target in enumerate(targets):
+        homs1 = list(enumerate_homomorphisms(g1, target))
+        homs2 = list(enumerate_homomorphisms(g2, target))
+        all_glued_homs = list(enumerate_homomorphisms(glued, target))
+        for h1 in homs1:
+            for h2 in homs2:
+                if any(h1[v] != h2[v] for v in shared):
+                    continue
+                mediators = [
+                    theta for theta in all_glued_homs
+                    if all(theta[v] == h1[v] for v in g1.vertices)
+                    and all(theta[v] == h2[v] for v in g2.vertices)]
+                if len(mediators) != 1:
+                    cocone = {**{f"1/{v}": h1[v] for v in g1.vertices},
+                              **{f"2/{v}": h2[v] for v in g2.vertices}}
+                    return Verdict.failed(
+                        "UniversalProperty",
+                        message=f"cocone {cocone} into target #{t_index} "
+                                f"admits {len(mediators)} mediating maps")
+    return Verdict.passed()
 
 
 class TestPsi:
@@ -135,6 +213,18 @@ class TestRoundtrip:
             g = random_mat_labeled_graph(rng, rng.randint(1, 9))
             assert roundtrip_check(g).verdict.ok
 
+    def test_union_map_that_breaks_order_names_a_pair(self, monkeypatch):
+        # swapping the complete unions of 1 and 3 keeps the union map a
+        # bijection onto the reconstructed vine, but 1 < 12 while 3 is not
+        # below the union {1, 2}
+        swap = {frozenset("1"): frozenset("3"), frozenset("3"): frozenset("1")}
+        union = functors.complete_union
+        monkeypatch.setattr(functors, "complete_union",
+                            lambda p, v: swap.get(union(p, v), union(p, v)))
+        result = roundtrip_check(d_vine(3))
+        assert not result.verdict.ok
+        assert result.verdict.violation.message == "order not preserved on ('1', '12')"
+
 
 class TestUpperTruncationOperation:
     def test_seven_vertex_example(self):
@@ -202,6 +292,112 @@ class TestLifts:
             validate_poset_morphism(PosetMorphism(p, p, bad))
 
 
+class TestValidatePosetMorphism:
+    def test_order_broken_below_one_node(self):
+        # ranks are kept; only the down-set of c leaves the down-set of its image
+        p = VinePoset.build([("a", 1, []), ("b", 1, []), ("c", 2, ["a", "b"])])
+        q = VinePoset.build([("x", 1, []), ("y", 1, []), ("z", 1, []),
+                             ("w", 2, ["x", "z"])])
+        m = PosetMorphism(p, q, {"a": "x", "b": "y", "c": "w"})
+        with pytest.raises(MorphismError, match=r"order violated on pair \('b', 'c'\)"):
+            validate_poset_morphism(m)
+
+    def test_rank_broken_only(self):
+        p = VinePoset.build([("a", 1, []), ("b", 2, ["a"])])
+        q = VinePoset.build([("x", 1, []), ("y", 2, ["x"]), ("z", 3, ["y"])])
+        assert validate_poset_morphism(PosetMorphism(p, q, {"a": "x", "b": "y"}))
+        with pytest.raises(MorphismError, match="rank violated at node 'b'"):
+            validate_poset_morphism(PosetMorphism(p, q, {"a": "x", "b": "z"}))
+
+    def test_join_broken_only(self):
+        # the identity is an injective map onto an ideal, yet a and b have
+        # no join in the target: join preservation is a separate test
+        p = VinePoset.build([("a", 1, []), ("b", 1, []), ("j", 2, ["a", "b"])])
+        q = VinePoset.build([("a", 1, []), ("b", 1, []), ("j", 2, ["a", "b"]),
+                             ("k", 2, ["a", "b"])])
+        identity = {v: v for v in p.nodes}
+        _check_ideal_embedding(p, q, identity)
+        with pytest.raises(MorphismError, match=r"join violated on pair \('a', 'b'\)"):
+            validate_poset_morphism(PosetMorphism(p, q, identity))
+
+    def test_accepts_the_folding_lift(self):
+        src = LabeledGraph.build(["a", "b", "c", "d"],
+                                 [("a", "b", 1), ("c", "d", 1)])
+        dst = LabeledGraph.build(["x", "y"], [("x", "y", 1)])
+        lifted = lift_graph_morphism(GraphMorphism(
+            src, dst, {"a": "x", "b": "y", "c": "x", "d": "y"}))
+        checked = validate_poset_morphism(
+            PosetMorphism(lifted.source, lifted.target, lifted.mapping))
+        assert checked.rank_preserving and checked.join_preserving
+        assert checked.mapping == lifted.mapping
+
+    def test_random_maps_match_pairwise_checks(self):
+        rng = random.Random(29)
+        pool = poset_pool(rng)
+        outcomes = {}
+        for _ in range(1500):
+            p = rng.choice(pool)
+            if rng.random() < 0.5:
+                q, f = p, {v: v for v in p.nodes}
+                for _ in range(rng.randint(0, 2)):
+                    a, b = rng.choice(p.nodes), rng.choice(p.nodes)
+                    f[a], f[b] = f[b], f[a]
+            else:
+                q = rng.choice(pool)
+                f = {v: rng.choice([w for w in q.nodes if q.rank_of[w] == p.rank_of[v]]
+                                   or q.nodes) for v in p.nodes}
+            m = PosetMorphism(p, q, f)
+            expected = reference_verdict(m)
+            outcomes[expected] = outcomes.get(expected, 0) + 1
+            if expected is None:
+                assert validate_poset_morphism(m).join_preserving
+                continue
+            with pytest.raises(MorphismError, match=f"^{expected} violated") as err:
+                validate_poset_morphism(m)
+            if expected == "order":
+                a, b = ast.literal_eval(str(err.value).rpartition(" on pair ")[2])
+                assert p.leq(a, b) and not q.leq(f[a], f[b])
+        assert min(outcomes.values()) >= 20 and len(outcomes) == 4
+
+
+class TestJoin:
+    def test_matches_brute_force(self):
+        rng = random.Random(31)
+        missing = 0
+        for p in poset_pool(rng):
+            for x, y in combinations_with_replacement(p.nodes, 2):
+                j = _join(p, x, y)
+                assert j == brute_force_join(p, x, y)
+                missing += j is None
+        assert missing > 0
+
+
+class TestCheckIdealEmbedding:
+    def test_accepts_the_embedding_of_a_vine(self, lrv_graph):
+        target, morphism = embed_in_r_vine(psi(lrv_graph))
+        _check_ideal_embedding(morphism.source, target, morphism.mapping)
+
+    def test_refuses_a_non_injective_map(self):
+        # f(↓v) = ↓f(v) holds at both nodes; only injectivity fails
+        p = VinePoset.build([("a", 1, []), ("b", 1, [])])
+        q = VinePoset.build([("x", 1, [])])
+        with pytest.raises(InternalDefectError, match="not injective"):
+            _check_ideal_embedding(p, q, {"a": "x", "b": "x"})
+
+    def test_refuses_an_image_that_is_not_an_ideal(self):
+        p = VinePoset.build([("a", 1, []), ("b", 1, []), ("c", 2, ["a", "b"])])
+        q = VinePoset.build([("a", 1, []), ("b", 1, []), ("z", 1, []),
+                             ("c", 2, ["a", "b", "z"])])
+        with pytest.raises(InternalDefectError, match="onto an ideal"):
+            _check_ideal_embedding(p, q, {v: v for v in p.nodes})
+
+    def test_refuses_a_map_that_only_preserves_order(self):
+        p = VinePoset.build([("a", 1, []), ("b", 2, [])])
+        q = VinePoset.build([("a", 1, []), ("b", 2, ["a"])])
+        with pytest.raises(InternalDefectError, match="onto an ideal"):
+            _check_ideal_embedding(p, q, {v: v for v in p.nodes})
+
+
 class TestEmbedInRVine:
     def test_five_vertex_example(self, lrv_graph):
         p = psi(lrv_graph)
@@ -245,6 +441,27 @@ class TestCheckPushout:
         verdict = check_pushout(g1, g2, overlap, bad)
         assert not verdict.ok
         assert verdict.violation.tag == "Commutation"
+
+    def test_matches_the_glued_map_enumeration(self):
+        rng = random.Random(23)
+        graphs = [random_mat_labeled_graph(rng, rng.randint(1, 5)) for _ in range(30)]
+        tags = []
+        while len(tags) < 60:
+            g = rng.choice(graphs)
+            vs = list(g.vertices)
+            a = set(rng.sample(vs, rng.randint(1, len(vs))))
+            b = set(rng.sample(vs, rng.randint(1, len(vs)))) | (set(vs) - a)
+            g1, g2, overlap = g.restrict(a), g.restrict(b), g.restrict(a & b)
+            try:
+                glued = glue(g1, g2)
+            except PreconditionError:
+                continue
+            glued = glued if rng.random() < 0.8 else g
+            targets = rng.sample(graphs, 2) + [extend_to_complete(g)]
+            verdict = check_pushout(g1, g2, overlap, glued, targets)
+            assert verdict == reference_check_pushout(g1, g2, overlap, glued, targets)
+            tags.append(verdict.violation.tag if verdict.violation else "ok")
+        assert "Commutation" in tags and tags.count("ok") > 30
 
     def test_homomorphism_enumeration_is_label_preserving(self, d4_graph):
         single = LabeledGraph.build(["x", "y"], [("x", "y", 2)])

@@ -331,6 +331,41 @@ class TestStronglyChordal:
         assert verdict.violation.tag == "SunFound"
         assert len(verdict.violation.subject) == 6
 
+    def test_relabeled_suns_give_aligned_witnesses(self):
+        rng = random.Random(37)
+        for k in (3, 4, 5):
+            for _ in range(10):
+                perm = rng.sample(range(2 * k), 2 * k)
+                adj = [0] * (2 * k)
+                edges = list(combinations(range(k), 2))
+                edges += [(k + i, j) for i in range(k) for j in (i, (i + 1) % k)]
+                for a, b in edges:
+                    adj[perm[a]] |= 1 << perm[b]
+                    adj[perm[b]] |= 1 << perm[a]
+                inner, outer = bits.find_sun(2 * k, adj)
+                assert sorted(inner) == sorted(perm[:k])
+                for i, o in enumerate(outer):
+                    assert adj[o] == 1 << inner[i] | 1 << inner[(i + 1) % k]
+
+    def test_pairs_on_two_cycles_close_no_sun(self):
+        # six outer vertices over two inner triangles 0-1-2 and 3-4-5
+        pairs = [(6 + t, 1 << a | 1 << b) for t, (a, b) in
+                 enumerate([(0, 1), (3, 4), (1, 2), (4, 5), (2, 0), (5, 3)])]
+        assert bits._close_sun_cycle(list(range(6)), pairs) is None
+        # two triangles through vertex 0: the walk uses every pair and
+        # returns to 0, but never visits vertex 5
+        figure_eight = [(6 + t, 1 << a | 1 << b) for t, (a, b) in
+                        enumerate([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])]
+        assert bits._close_sun_cycle(list(range(6)), figure_eight) is None
+        # a path 0-1 into the triangle 1-2-3: the walk ends at 1, not at 0
+        lollipop = [(4 + t, 1 << a | 1 << b) for t, (a, b) in
+                    enumerate([(0, 1), (1, 2), (2, 3), (3, 1)])]
+        assert bits._close_sun_cycle(list(range(4)), lollipop) is None
+        one_cycle = [(6 + t, 1 << a | 1 << b) for t, (a, b) in
+                     enumerate([(0, 1), (3, 4), (1, 2), (4, 5), (2, 3), (5, 0)])]
+        assert bits._close_sun_cycle(list(range(6)), one_cycle) == (
+            (0, 1, 2, 3, 4, 5), (6, 8, 10, 7, 9, 11))
+
     def test_complete_graphs(self):
         for n in range(1, 7):
             names = [f"x{i}" for i in range(n)]
@@ -546,6 +581,12 @@ class TestExtendToComplete:
                                   for i in range(n) for j in range(i + 1, n)}
             if n <= 6:   # the oracle needs about 5 s at 7 vertices
                 assert [out.labels] == backtracking_completions(path)
+
+    def test_rejects_an_invalid_labeling(self):
+        bad = LabeledGraph.build(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1),
+                                                   ("a", "c", 1)])
+        with pytest.raises(PreconditionError, match="graph is not MAT-labeled"):
+            extend_to_complete(bad)
 
     def test_random_instances(self):
         rng = random.Random(5)

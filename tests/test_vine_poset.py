@@ -464,6 +464,14 @@ class TestBuilders:
             for b in p.nodes:
                 assert p.leq(a, b) == r.leq(mapping[a], mapping[b])
 
+    def test_root_poset_node_order(self):
+        # by height, then the later start first
+        assert root_poset_a(3).nodes == ("a3", "a2", "a1", "a2+a3", "a1+a2",
+                                         "a1+a2+a3")
+        r = root_poset_a(6)
+        starts = [(r.rank_of[v], -int(v[1:].split("+")[0])) for v in r.nodes]
+        assert starts == sorted(starts) and len(r.nodes) == 21
+
     def test_kind_dispatch_and_bounds(self):
         assert structurally_equal(build_standard("d_vine", 3), d_vine(3))
         with pytest.raises(PosetInputError):
