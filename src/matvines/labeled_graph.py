@@ -160,6 +160,25 @@ class LabeledGraph:
         return LabeledGraph.build(
             verts, [(mapping[u], mapping[v], k) for (u, v), k in self.labels.items()])
 
+    @cached_property
+    def _mat_verdict(self) -> Verdict:
+        """:func:`check_mat_labeling`'s verdict, found once per frozen graph."""
+        n, adj, lab = self._bit_form()
+        hit = _bits.mat_violation(n, adj, lab)
+        if hit is None:
+            return Verdict.passed()
+        tag, (i, j), extra = hit
+        names = self.vertices
+        if tag == "ML1":
+            return Verdict.failed(
+                "ML1", subject=(names[i], names[j]),
+                cycle=tuple(names[t] for t in extra),
+                message="edge closes a cycle inside one label class")
+        return Verdict.failed(
+            "ML2", subject=(names[i], names[j]),
+            message=f"edge of label {self.label_of(names[i], names[j])} has "
+                    f"{extra} conditioning vertices")
+
     def _bit_form(self) -> tuple[int, list[int], list[list[int]]]:
         index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
@@ -186,21 +205,7 @@ def check_mat_labeling(g: LabeledGraph) -> Verdict:
     connected within that forest.  Axiom ML2 requires each label-k edge to
     close exactly k-1 triangles whose other two edges carry smaller labels.
     """
-    n, adj, lab = g._bit_form()
-    hit = _bits.mat_violation(n, adj, lab)
-    if hit is None:
-        return Verdict.passed()
-    tag, (i, j), extra = hit
-    names = g.vertices
-    if tag == "ML1":
-        return Verdict.failed(
-            "ML1", subject=(names[i], names[j]),
-            cycle=tuple(names[t] for t in extra),
-            message="edge closes a cycle inside one label class")
-    return Verdict.failed(
-        "ML2", subject=(names[i], names[j]),
-        message=f"edge of label {g.label_of(names[i], names[j])} has "
-                f"{extra} conditioning vertices")
+    return g._mat_verdict
 
 
 def is_mat_simplicial(g: LabeledGraph, v: str) -> Verdict:

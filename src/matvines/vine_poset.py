@@ -33,31 +33,6 @@ def cond_display(conditioned: Iterable[str], conditioning: Iterable[str]) -> str
     return name
 
 
-def assign_union_names(
-        entries: Iterable[tuple[frozenset[str], frozenset[str], frozenset[str]]],
-        reserved: Iterable[str] = (),
-) -> dict[frozenset[str], str]:
-    """Deterministic display names for a family of (union, conditioned,
-    conditioning) triples, disambiguated against reserved identifiers.
-
-    Both conversion directions name their nodes through this helper so that
-    round trips compare equal node-for-node.
-    """
-    used = set(reserved)
-    names: dict[frozenset[str], str] = {}
-    ordered = sorted(entries,
-                     key=lambda e: (len(e[0]), sorted(e[0], key=natural_key)))
-    for (u, c, d) in ordered:
-        base = cond_display(c, d)
-        name, t = base, 2
-        while name in used:
-            name = f"{base}#{t}"
-            t += 1
-        used.add(name)
-        names[u] = name
-    return names
-
-
 class VineClass(IntEnum):
     NOT_GRADED = 0
     NOT_VINE = 1
@@ -678,29 +653,52 @@ def count_ideals(p: VinePoset, mode: str = "all") -> int:
     return sum(1 for _ in _ideal_walk(p, mode))
 
 
+def _union_key(union: frozenset[str]) -> tuple[int, list[str]]:
+    return (len(union), sorted(union, key=natural_key))
+
+
+def union_vine(minimals: Iterable[str],
+               entries: Iterable[tuple[frozenset[str], frozenset[str], frozenset[str]]],
+               ) -> tuple[VinePoset, dict[frozenset[str], str]]:
+    """The vine given by its unions: the minimal nodes, then one node per
+    (union U, conditioned pair {a, b}, conditioning set) entry, both in the
+    order given, and the node of every union.  The node of U has rank |U|
+    and covers the nodes of U - {a} and U - {b}, since each node of a vine
+    is the union of its two children (Bedford and Cooke, Ann. Statist. 30,
+    2002).  Nodes are named by conditioned and conditioning sets, in order
+    of size and then sorted union, without reusing a minimal node's name."""
+    minimals, entries = tuple(minimals), list(entries)
+    names = {frozenset((v,)): v for v in minimals}
+    used = set(minimals)
+    for u, c, d in sorted(entries, key=lambda e: _union_key(e[0])):
+        if u in names:
+            raise InternalDefectError(f"union {sorted(u)} is given twice")
+        base = cond_display(c, d)
+        name, t = base, 2
+        while name in used:
+            name = f"{base}#{t}"
+            t += 1
+        used.add(name)
+        names[u] = name
+    items = [(v, 1, ()) for v in minimals]
+    for u, c, _ in entries:
+        try:
+            items.append((names[u], len(u), [names[u - {x}] for x in sorted(c)]))
+        except KeyError as missing:
+            raise InternalDefectError(f"{sorted(missing.args[0])} is neither a "
+                                      "given union nor a minimal node") from None
+    return VinePoset.build(items), names
+
+
 def d_vine(dimension: int) -> VinePoset:
     """Regular vine whose level trees are paths; elements are 1..dimension."""
     if dimension < 1:
         raise PosetInputError("dimension must be at least 1")
     names = [str(t) for t in range(1, dimension + 1)]
-    ids = assign_union_names(
-        ((frozenset(names[i - 1:j]), frozenset((names[i - 1], names[j - 1])),
-          frozenset(names[i:j - 1]))
-         for i in range(1, dimension + 1) for j in range(i + 1, dimension + 1)),
-        reserved=names)
-
-    def node_id(i: int, j: int) -> str:
-        if i == j:
-            return names[i - 1]
-        return ids[frozenset(names[i - 1:j])]
-
-    items = []
-    for span in range(dimension):
-        for i in range(1, dimension - span + 1):
-            j = i + span
-            covs = [] if i == j else [node_id(i, j - 1), node_id(i + 1, j)]
-            items.append((node_id(i, j), span + 1, covs))
-    return VinePoset.build(items)
+    return union_vine(names, (
+        (frozenset(names[i:i + span + 1]), frozenset((names[i], names[i + span])),
+         frozenset(names[i + 1:i + span]))
+        for span in range(1, dimension) for i in range(dimension - span)))[0]
 
 
 def c_vine(dimension: int) -> VinePoset:
@@ -709,26 +707,10 @@ def c_vine(dimension: int) -> VinePoset:
     if dimension < 1:
         raise PosetInputError("dimension must be at least 1")
     names = [str(t) for t in range(1, dimension + 1)]
-    ids = assign_union_names(
-        ((frozenset(names[:k] + [names[i - 1]]),
-          frozenset((names[k - 1], names[i - 1])), frozenset(names[:k - 1]))
-         for k in range(1, dimension + 1) for i in range(k + 1, dimension + 1)),
-        reserved=names)
-
-    def node_id(k: int, i: int) -> str:
-        if k == i:
-            return names[k - 1]
-        return ids[frozenset(names[:k] + [names[i - 1]])]
-
-    items = [(names[i - 1], 1, []) for i in range(1, dimension + 1)]
-    for k in range(1, dimension):
-        for i in range(k + 1, dimension + 1):
-            if k == 1:
-                covs = [names[0], names[i - 1]]
-            else:
-                covs = [node_id(k - 1, k), node_id(k - 1, i)]
-            items.append((node_id(k, i), k + 1, covs))
-    return VinePoset.build(items)
+    return union_vine(names, (
+        (frozenset(names[:k] + [names[i]]), frozenset((names[k - 1], names[i])),
+         frozenset(names[:k - 1]))
+        for k in range(1, dimension) for i in range(k, dimension)))[0]
 
 
 def root_poset_a(dimension: int) -> VinePoset:
@@ -766,22 +748,17 @@ def hat(p: VinePoset) -> VinePoset:
     """Poset of complete unions ordered by inclusion.
 
     Isomorphic to the input via the map sending each node to its complete
-    union; node names reuse the conditioned/conditioning display format so
-    that conversion round trips compare equal.
+    union.  Like every vine built from its unions, it is built by
+    :func:`union_vine`: a node covers the unions of its two children, which
+    are exactly the unions just below it.  Node names reuse the
+    conditioned/conditioning display format so that conversion round trips
+    compare equal.
     """
     _require(p, VineClass.LR_VINE, "hat")
-    names: dict[frozenset[str], str] = {frozenset((v,)): v for v in p.minimals}
-    names.update(assign_union_names(
-        ((complete_union(p, v), *cond_sets(p, v))
-         for v in p.nodes if p.covers_of[v]),
-        reserved=p.minimals))
-    if len(names) != len(p.nodes):
-        raise InternalDefectError("complete unions are not distinct")
-    sets = sorted(names, key=lambda s: (len(s), sorted(s, key=natural_key)))
-    below = [sum(1 << j for j, t in enumerate(sets) if t < s) for s in sets]
-    return VinePoset.build(
-        [(names[s], len(s), [names[sets[j]] for j in iter_bits(c)])
-         for s, c in zip(sets, _covers(below))])
+    entries = sorted(((complete_union(p, v), *cond_sets(p, v))
+                      for v in p.nodes if p.covers_of[v]),
+                     key=lambda e: _union_key(e[0]))
+    return union_vine(sorted(p.minimals), entries)[0]
 
 
 def structurally_equal(p: VinePoset, q: VinePoset) -> bool:

@@ -9,14 +9,14 @@ import pytest
 
 from matvines import (GraphMorphism, InternalDefectError, LabeledGraph,
                       MorphismError, PreconditionError, Verdict, VineClass,
-                      check_mat_labeling, check_pushout, classify,
+                      c_vine, check_mat_labeling, check_pushout, classify,
                       classify_via_principal_ideals, complete_union, cond_sets,
                       d_vine, embed_in_r_vine, extend_to_complete, glue,
                       lift_graph_morphism, lift_poset_morphism,
-                      maximal_cliques, omega, poset_isomorphism, psi,
-                      random_mat_labeled_graph, root_poset_a, roundtrip_check,
-                      truncate)
-from matvines import functors
+                      maximal_cliques, merge_complete, omega,
+                      poset_isomorphism, psi, random_mat_labeled_graph,
+                      root_poset_a, roundtrip_check, truncate)
+from matvines import _bits, functors
 from matvines.functors import (PosetMorphism, _check_ideal_embedding, _join,
                                enumerate_homomorphisms,
                                validate_poset_morphism)
@@ -463,9 +463,52 @@ class TestCheckPushout:
             tags.append(verdict.violation.tag if verdict.violation else "ok")
         assert "Commutation" in tags and tags.count("ok") > 30
 
+    def test_answers_without_listing_maps(self, monkeypatch, d4_graph):
+        def refuse(src, dst):
+            raise AssertionError("check_pushout listed maps")
+        monkeypatch.setattr(functors, "enumerate_homomorphisms", refuse)
+        g1 = d4_graph.restrict(["v1", "v2", "v3"])
+        g2 = d4_graph.restrict(["v2", "v3", "v4"])
+        overlap = d4_graph.restrict(["v2", "v3"])
+        verdict = check_pushout(g1, g2, overlap, glue(g1, g2),
+                                targets=[d4_graph, g1])
+        assert verdict.ok
+
+    def test_non_mat_target_is_refused(self, d4_graph):
+        bad = LabeledGraph.build(["x", "y", "z"],
+                                 [("x", "y", 1), ("y", "z", 1), ("x", "z", 1)])
+        with pytest.raises(PreconditionError, match="target #1 is not MAT-labeled"):
+            check_pushout(d4_graph, d4_graph, d4_graph, d4_graph,
+                          targets=[d4_graph, bad])
+
     def test_homomorphism_enumeration_is_label_preserving(self, d4_graph):
         single = LabeledGraph.build(["x", "y"], [("x", "y", 2)])
         homs = list(enumerate_homomorphisms(single, d4_graph))
         images = {frozenset((h["x"], h["y"])) for h in homs}
         assert images == {frozenset(("v1", "v3")), frozenset(("v2", "v4"))}
         assert len(homs) == 4
+
+
+def test_each_graph_is_validated_once(monkeypatch):
+    """The MAT verdict is kept on the frozen graph, so the labeling kernel
+    runs once per graph however many steps check it."""
+    calls = []
+    kernel = _bits.mat_violation
+    monkeypatch.setattr(_bits, "mat_violation",
+                        lambda *args: calls.append(1) or kernel(*args))
+
+    def kernel_runs(f):
+        calls.clear()
+        f()
+        return len(calls)
+
+    g1 = LabeledGraph.build("abc", [("a", "b", 1), ("b", "c", 1), ("a", "c", 2)])
+    g2 = LabeledGraph.build("bcd", [("b", "c", 1), ("c", "d", 1), ("b", "d", 2)])
+    # g1, g2, their overlap, the glued graph, the completed graph
+    assert kernel_runs(lambda: merge_complete(g1, g2)) == 5
+    # the vine's graph and its completion
+    assert kernel_runs(lambda: embed_in_r_vine(d_vine(4))) == 2
+    # the vine's graph only
+    assert kernel_runs(lambda: roundtrip_check(c_vine(4))) == 1
+    g = omega(c_vine(4))   # omega has checked its output
+    assert kernel_runs(lambda: check_mat_labeling(g)) == 0

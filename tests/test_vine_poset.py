@@ -6,8 +6,8 @@ from itertools import chain, combinations
 
 import pytest
 
-from matvines import (ForestSequence, PosetInputError, VineClass, VinePoset,
-                      build_standard,
+from matvines import (ForestSequence, InternalDefectError, PosetInputError,
+                      VineClass, VinePoset, build_standard,
                       c_vine, classify, classify_via_principal_ideals,
                       complete_union, cond_sets, count_ideals, d_vine,
                       find_sampling_order, from_forest_sequence, hat,
@@ -15,7 +15,7 @@ from matvines import (ForestSequence, PosetInputError, VineClass, VinePoset,
                       marginalize, poset_isomorphism, psi,
                       random_mat_labeled_graph, root_poset_a,
                       to_forest_sequence, truncate, union_of)
-from matvines.vine_poset import structurally_equal
+from matvines.vine_poset import structurally_equal, union_vine
 from conftest import five_vertex_graph
 
 
@@ -502,8 +502,27 @@ def cover_sources():
     return vines
 
 
-@pytest.mark.parametrize("kind", ["root_poset_a", "hat", "induced_subposet"])
+@pytest.mark.parametrize("kind", ["root_poset_a", "d_vine", "c_vine", "hat",
+                                  "induced_subposet"])
 def test_covers_match_the_naive_definition(kind):
+    if kind in ("d_vine", "c_vine"):
+        for dim in range(1, 11):
+            names = [str(t) for t in range(1, dim + 1)]
+            if kind == "d_vine":   # the unions are the intervals
+                p = d_vine(dim)
+                family = {frozenset(names[i:j])
+                          for i in range(dim) for j in range(i + 1, dim + 1)}
+            else:   # the first k elements plus one later element
+                p = c_vine(dim)
+                family = {frozenset(names[:k] + [x])
+                          for k in range(dim) for x in names[k:]}
+            union = {v: complete_union(p, v) for v in p.nodes}
+            assert sorted(map(sorted, union.values())) == \
+                sorted(map(sorted, family))
+            expected = naive_covers(p.nodes, lambda u, v: union[u] < union[v])
+            assert {v: set(p.covers_of[v]) for v in p.nodes} == expected
+            assert all(p.rank_of[v] == len(union[v]) for v in p.nodes)
+        return
     if kind == "root_poset_a":
         for dim in range(1, 9):
             r = root_poset_a(dim)
@@ -538,6 +557,18 @@ def test_covers_match_the_naive_definition(kind):
             expected = naive_covers(keep, lambda u, v: u != v and p.leq(u, v))
             assert {v: set(q.covers_of[v]) for v in q.nodes} == expected
             assert all(q.rank_of[v] == p.rank_of[v] for v in keep)
+
+
+class TestUnionVine:
+    def test_refuses_a_repeated_union(self):
+        ab = frozenset("ab")
+        with pytest.raises(InternalDefectError, match="given twice"):
+            union_vine("ab", [(ab, ab, frozenset()), (ab, ab, frozenset())])
+
+    def test_refuses_a_missing_child(self):
+        abc = frozenset("abc")
+        with pytest.raises(InternalDefectError, match=r"\['b', 'c'\] is neither"):
+            union_vine("abc", [(abc, frozenset("ac"), frozenset("b"))])
 
 
 class TestHat:
