@@ -19,24 +19,6 @@ def iter_bits(mask: int):
         mask ^= b
 
 
-def components(n: int, adj: list[int], alive: int) -> list[int]:
-    """Connected components of the induced subgraph on ``alive``, as bitmasks."""
-    comps = []
-    rest = alive
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            new = 0
-            for v in iter_bits(frontier):
-                new |= adj[v] & alive & ~comp
-            comp |= new
-            frontier = new
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
 def find(parent, x):
     """Root of ``x`` in a union-find forest given as a list or a dict of
     parents, halving the path on the way."""

@@ -156,11 +156,7 @@ def cmd_sampling_order(args) -> int:
         verdict = vine_poset.is_sampling_order(p, order)
         _emit({"order": list(order), **verdict.to_json()})
         return EXIT_OK if verdict.ok else EXIT_VIOLATION
-    order = vine_poset.find_sampling_order(p)
-    if order is None:
-        _emit({"ok": False, "message": "no sampling order found"})
-        return EXIT_VIOLATION
-    _emit({"ok": True, "order": list(order)})
+    _emit({"ok": True, "order": list(vine_poset.find_sampling_order(p))})
     return EXIT_OK
 
 

@@ -484,12 +484,8 @@ class EnumerationReport:
 
 def representative_graph(dimension: int, key: tuple[int, ...]) -> LabeledGraph:
     """Concrete labeled complete graph realizing a canonical key."""
-    lab = _key_to_matrix(dimension, key)
-    names = [str(i + 1) for i in range(dimension)]
-    items = [(names[i], names[j], lab[i][j])
-             for i in range(dimension) for j in range(i + 1, dimension)
-             if lab[i][j]]
-    return LabeledGraph.build(names, items)
+    return LabeledGraph._from_matrix([str(i + 1) for i in range(dimension)],
+                                     _key_to_matrix(dimension, key))
 
 
 def representative_name(dimension: int, key: tuple[int, ...]) -> str:
@@ -606,32 +602,15 @@ def _isomorphism_classes(n: int, pairs: list[tuple[int, int]]
 
 
 def _decide(n: int, pairs: list[tuple[int, int]], mask: int) -> tuple[bool, bool]:
-    """(strongly chordal, labelable) for one graph, deciding each connected
-    component on three or more vertices with both kernels."""
+    """(strongly chordal, labelable) for one graph, decided with both
+    kernels."""
     adj = [0] * n
     for e, (i, j) in enumerate(pairs):
         if mask >> e & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    sc = True
-    mat = True
-    for comp in _bits.components(n, adj, (1 << n) - 1):
-        cnt = comp.bit_count()
-        if cnt <= 2:
-            continue
-        verts = list(_bits.iter_bits(comp))
-        cadj = [0] * cnt
-        for a in range(cnt):
-            va = adj[verts[a]]
-            for b in range(a + 1, cnt):
-                if va >> verts[b] & 1:
-                    cadj[a] |= 1 << b
-                    cadj[b] |= 1 << a
-        sc &= _bits.is_strongly_chordal_fast(cnt, cadj)
-        mat &= _bits.find_mat_labeling(cnt, cadj) is not None
-        if not sc and not mat:
-            break
-    return sc, mat
+    return (_bits.is_strongly_chordal_fast(n, adj),
+            _bits.find_mat_labeling(n, adj) is not None)
 
 
 def mat_sc_agreement(n: int, progress: bool = False) -> AgreementReport:

@@ -7,16 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import and_, or_
-from typing import Iterator, Sequence
+from operator import or_
+from typing import Sequence
 
 from ._bits import iter_bits
 from .errors import InternalDefectError, MorphismError, PreconditionError
 from .labeled_graph import (LabeledGraph, check_mat_labeling, extend_to_complete,
                             glue, principal_cliques)
 from .vine_poset import (VineClass, VinePoset, classify, complete_union,
-                         cond_sets, hat, join_and_paths, structurally_equal,
-                         union_vine)
+                         cond_sets, hat, structurally_equal, union_vine)
 from .verdict import Verdict
 
 
@@ -72,14 +71,6 @@ def _image_masks(source: VinePoset, target: VinePoset,
             for b, mask in source.down_masks.items()}
 
 
-def _join(p: VinePoset, x: str, y: str) -> str | None:
-    """Least upper bound: the common upper bound below all the others."""
-    both = 1 << p.index[x] | 1 << p.index[y]
-    ups = [v for v in p.nodes if (p.down_masks[v] & both) == both]
-    below_all = reduce(and_, (p.down_masks[v] for v in ups), -1)
-    return next((u for u in ups if below_all >> p.index[u] & 1), None)
-
-
 def validate_poset_morphism(m: PosetMorphism) -> PosetMorphism:
     """Check order (f preserves it exactly when f(↓b) ⊆ ↓f(b) for every b),
     rank, and join preservation; joins are tested over all node pairs."""
@@ -100,11 +91,8 @@ def validate_poset_morphism(m: PosetMorphism) -> PosetMorphism:
         if m.source.rank_of[v] != m.target.rank_of[m.mapping[v]]:
             raise MorphismError(f"rank violated at node {v!r}")
     for a, b in combinations(m.source.nodes, 2):
-        j = _join(m.source, a, b)
-        if j is None:
-            continue
-        tj = _join(m.target, m.mapping[a], m.mapping[b])
-        if tj is None or tj != m.mapping[j]:
+        j = m.source.join(a, b)
+        if j is not None and m.target.join(m.mapping[a], m.mapping[b]) != m.mapping[j]:
             raise MorphismError(f"join violated on pair ({a!r}, {b!r})")
     return PosetMorphism(m.source, m.target, dict(m.mapping),
                          rank_preserving=True, join_preserving=True)
@@ -135,8 +123,9 @@ def omega(p: VinePoset) -> LabeledGraph:
     non-minimal node contributes its conditioned pair as an edge labeled one
     less than the node's rank.
 
-    Edges are found through the joining-path tower and cross-checked against
-    the conditioned sets computed from complete unions.
+    The edge {i, j} is read off the join i ∨ j (:meth:`VinePoset.join`),
+    with label rank(i ∨ j) - 1, and cross-checked against the conditioned
+    sets computed from complete unions.
     """
     kind = classify(p).kind
     if kind < VineClass.LR_VINE:
@@ -145,17 +134,16 @@ def omega(p: VinePoset) -> LabeledGraph:
     items = []
     edge_set = {}
     for i, j in combinations(verts, 2):
-        found = join_and_paths(p, i, j)
-        if found is None:
+        join = p.join(i, j)
+        if join is None:
             continue
-        label = p.rank_of[found.join] - 1
+        label = p.rank_of[join] - 1
         items.append((i, j, label))
         edge_set[frozenset((i, j))] = label
     expected = {frozenset(cond_sets(p, v)[0]): p.rank_of[v] - 1
                 for v in p.nodes if p.covers_of[v]}
     if expected != edge_set:
-        raise InternalDefectError(
-            "joining-path edges disagree with conditioned sets")
+        raise InternalDefectError("join edges disagree with conditioned sets")
     out = LabeledGraph.build(verts, items)
     verdict = check_mat_labeling(out)
     if not verdict.ok:
@@ -292,33 +280,6 @@ def embed_in_r_vine(p: VinePoset) -> tuple[VinePoset, PosetMorphism]:
     morphism = validate_poset_morphism(PosetMorphism(p, target, mapping))
     _check_ideal_embedding(p, target, mapping)
     return target, morphism
-
-
-def enumerate_homomorphisms(src: LabeledGraph, dst: LabeledGraph
-                            ) -> Iterator[dict[str, str]]:
-    """All label-preserving vertex maps (not necessarily injective)."""
-    order = list(src.vertices)
-
-    def rec(t: int, partial: dict[str, str]) -> Iterator[dict[str, str]]:
-        if t == len(order):
-            yield dict(partial)
-            return
-        v = order[t]
-        for cand in dst.vertices:
-            ok = True
-            for u, k in src.adjacency[v].items():
-                if u in partial:
-                    iu = partial[u]
-                    if iu == cand or not dst.has_edge(iu, cand) \
-                            or dst.label_of(iu, cand) != k:
-                        ok = False
-                        break
-            if ok:
-                partial[v] = cand
-                yield from rec(t + 1, partial)
-                del partial[v]
-
-    yield from rec(0, {})
 
 
 def check_pushout(g1: LabeledGraph, g2: LabeledGraph, overlap: LabeledGraph,

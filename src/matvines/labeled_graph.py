@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import _bits
 from .errors import GraphInputError, InternalDefectError, PreconditionError
@@ -179,6 +179,14 @@ class LabeledGraph:
             message=f"edge of label {self.label_of(names[i], names[j])} has "
                     f"{extra} conditioning vertices")
 
+    @classmethod
+    def _from_matrix(cls, names: Sequence[str], lab: list[list[int]]) -> "LabeledGraph":
+        """The graph on ``names`` of a label matrix; inverse of
+        :meth:`_bit_form`."""
+        n = len(names)
+        return cls.build(names, [(names[i], names[j], lab[i][j])
+                                 for i in range(n) for j in range(i + 1, n) if lab[i][j]])
+
     def _bit_form(self) -> tuple[int, list[int], list[list[int]]]:
         index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
@@ -309,10 +317,7 @@ def find_mat_labeling(g: Graph | LabeledGraph) -> LabeledGraph | None:
     lab = _bits.find_mat_labeling(n, adj)
     if lab is None:
         raise InternalDefectError("no labeling found for a strongly chordal graph")
-    names = plain.vertices
-    items = [(names[i], names[j], lab[i][j])
-             for i in range(n) for j in range(i + 1, n) if lab[i][j]]
-    return LabeledGraph.build(names, items)
+    return LabeledGraph._from_matrix(plain.vertices, lab)
 
 
 def maximal_cliques(g: Graph | LabeledGraph) -> list[frozenset[str]]:

@@ -149,8 +149,29 @@ class VinePoset:
             masks[v] = m
         return masks
 
+    @cached_property
+    def up_masks(self) -> dict[str, int]:
+        """Bitmask over node indices of the up-set of each node (inclusive)."""
+        masks = {v: 1 << self.index[v] for v in self.nodes}
+        for v in reversed(self._children_first):
+            for c in self.covers_of[v]:
+                masks[c] |= masks[v]
+        return masks
+
+    @cached_property
+    def _node_of_up_mask(self) -> dict[int, str]:
+        return {m: v for v, m in self.up_masks.items()}
+
     def leq(self, a: str, b: str) -> bool:
         return bool(self.down_masks[b] >> self.index[a] & 1)
+
+    def join(self, a: str, b: str) -> str | None:
+        """Least upper bound of two nodes, or None when there is none.
+
+        The least common upper bound is exactly the node whose up-set is the
+        set of common upper bounds, and distinct nodes have distinct up-sets.
+        """
+        return self._node_of_up_mask.get(self.up_masks[a] & self.up_masks[b])
 
     @cached_property
     def minimals(self) -> tuple[str, ...]:
@@ -178,14 +199,6 @@ class VinePoset:
     def down_set(self, v: str) -> tuple[str, ...]:
         mask = self.down_masks[v]
         return tuple(u for u in self.nodes if mask >> self.index[u] & 1)
-
-    @cached_property
-    def _pair_parent(self) -> dict[frozenset[str], str]:
-        out: dict[frozenset[str], str] = {}
-        for v, cs in self.covers_of.items():
-            if len(cs) == 2:
-                out.setdefault(frozenset(cs), v)
-        return out
 
     @cached_property
     def _forest_adjacency(self) -> list[int]:
@@ -484,9 +497,10 @@ def join_and_paths(p: VinePoset, i: str, j: str) -> JoinPaths | None:
     """Least upper bound of two minimal nodes via the path tower.
 
     The first path connects the two nodes in the bottom forest; each later
-    path connects the nodes corresponding to the first and last edges of the
-    previous path; the construction ends when a path shrinks to the single
-    node that is the join.  Returns None when no upper bound exists.
+    path connects the joins of the first and last edges of the previous
+    path (the nodes covering them); the construction ends when a path
+    shrinks to the single node that is the join.  Returns None when no
+    upper bound exists.
     """
     _require(p, VineClass.LR_VINE, "join_and_paths")
     for x in (i, j):
@@ -506,10 +520,7 @@ def join_and_paths(p: VinePoset, i: str, j: str) -> JoinPaths | None:
         paths.append(path)
         if len(path) == 1:
             return JoinPaths(join=path[0], paths=tuple(paths))
-        ends = (p._pair_parent.get(frozenset(path[:2])),
-                p._pair_parent.get(frozenset(path[-2:])))
-        if None in ends:
-            return None
+        ends = (p.join(*path[:2]), p.join(*path[-2:]))
 
 
 def truncate(p: VinePoset, k: int, direction: str) -> VinePoset:
@@ -578,26 +589,26 @@ def is_sampling_order(p: VinePoset, order: Iterable[str]) -> Verdict:
     return Verdict.passed()
 
 
-def find_sampling_order(p: VinePoset) -> tuple[str, ...] | None:
-    """Greedy construction of a sampling order (one always exists)."""
+def find_sampling_order(p: VinePoset) -> tuple[str, ...]:
+    """A sampling order, built from its end: marginalize, over and over, the
+    first minimal node (by name) whose removal keeps the vine (locally)
+    regular.  Such a node always exists, so the greedy choice never needs
+    to backtrack."""
     _require(p, VineClass.LR_VINE, "find_sampling_order")
     required = (VineClass.R_VINE if classify(p).kind == VineClass.R_VINE
                 else VineClass.LR_VINE)
-
-    def extend(cur: VinePoset) -> list[str] | None:
-        if len(cur.minimals) <= 1:
-            return list(cur.minimals)
+    removed: list[str] = []
+    cur = p
+    while len(cur.minimals) > 1:
         for v in sorted(cur.minimals, key=natural_key):
             q, graded = marginalize(cur, v)
-            if not graded or classify(q).kind < required:
-                continue
-            head = extend(q)
-            if head is not None:
-                return head + [v]
-        return None
-
-    out = extend(p)
-    return tuple(out) if out is not None else None
+            if graded and classify(q).kind >= required:
+                break
+        else:
+            raise InternalDefectError("no minimal node can be marginalized")
+        removed.append(v)
+        cur = q
+    return (*cur.minimals, *reversed(removed))
 
 
 def _canonical_order(p: VinePoset) -> list[str]:

@@ -4,6 +4,7 @@ and the pushout check."""
 import ast
 import random
 from itertools import combinations, combinations_with_replacement
+from typing import Iterator
 
 import pytest
 
@@ -17,8 +18,7 @@ from matvines import (GraphMorphism, InternalDefectError, LabeledGraph,
                       poset_isomorphism, psi, random_mat_labeled_graph,
                       root_poset_a, roundtrip_check, truncate)
 from matvines import _bits, functors
-from matvines.functors import (PosetMorphism, _check_ideal_embedding, _join,
-                               enumerate_homomorphisms,
+from matvines.functors import (PosetMorphism, _check_ideal_embedding,
                                validate_poset_morphism)
 from matvines.vine_poset import VinePoset
 from conftest import seven_vertex_graph
@@ -58,6 +58,33 @@ def reference_verdict(m):
         if j is not None and brute_force_join(q, f[a], f[b]) != f[j]:
             return "join"
     return None
+
+
+def enumerate_homomorphisms(src: LabeledGraph, dst: LabeledGraph
+                            ) -> Iterator[dict[str, str]]:
+    """All label-preserving vertex maps (not necessarily injective)."""
+    order = list(src.vertices)
+
+    def rec(t: int, partial: dict[str, str]) -> Iterator[dict[str, str]]:
+        if t == len(order):
+            yield dict(partial)
+            return
+        v = order[t]
+        for cand in dst.vertices:
+            ok = True
+            for u, k in src.adjacency[v].items():
+                if u in partial:
+                    iu = partial[u]
+                    if iu == cand or not dst.has_edge(iu, cand) \
+                            or dst.label_of(iu, cand) != k:
+                        ok = False
+                        break
+            if ok:
+                partial[v] = cand
+                yield from rec(t + 1, partial)
+                del partial[v]
+
+    yield from rec(0, {})
 
 
 def reference_check_pushout(g1, g2, overlap, glued, targets=()):
@@ -366,8 +393,9 @@ class TestJoin:
         missing = 0
         for p in poset_pool(rng):
             for x, y in combinations_with_replacement(p.nodes, 2):
-                j = _join(p, x, y)
+                j = p.join(x, y)
                 assert j == brute_force_join(p, x, y)
+                assert bool(p.up_masks[x] >> p.index[y] & 1) == p.leq(x, y)
                 missing += j is None
         assert missing > 0
 
@@ -463,10 +491,7 @@ class TestCheckPushout:
             tags.append(verdict.violation.tag if verdict.violation else "ok")
         assert "Commutation" in tags and tags.count("ok") > 30
 
-    def test_answers_without_listing_maps(self, monkeypatch, d4_graph):
-        def refuse(src, dst):
-            raise AssertionError("check_pushout listed maps")
-        monkeypatch.setattr(functors, "enumerate_homomorphisms", refuse)
+    def test_answers_without_listing_maps(self, d4_graph):
         g1 = d4_graph.restrict(["v1", "v2", "v3"])
         g2 = d4_graph.restrict(["v2", "v3", "v4"])
         overlap = d4_graph.restrict(["v2", "v3"])

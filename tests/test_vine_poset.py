@@ -10,11 +10,13 @@ from matvines import (ForestSequence, InternalDefectError, PosetInputError,
                       VineClass, VinePoset, build_standard,
                       c_vine, classify, classify_via_principal_ideals,
                       complete_union, cond_sets, count_ideals, d_vine,
+                      enumerate_mat_labelings_complete, extend_to_complete,
                       find_sampling_order, from_forest_sequence, hat,
                       is_sampling_order, iter_ideals, join_and_paths,
-                      marginalize, poset_isomorphism, psi,
+                      marginalize, omega, poset_isomorphism, psi,
                       random_mat_labeled_graph, root_poset_a,
                       to_forest_sequence, truncate, union_of)
+from matvines import vine_poset
 from matvines.vine_poset import structurally_equal, union_vine
 from conftest import five_vertex_graph
 
@@ -51,6 +53,29 @@ def brute_force_join(p, x, y):
     uppers = [v for v in p.nodes if p.leq(x, v) and p.leq(y, v)]
     least = [u for u in uppers if all(p.leq(u, w) for w in uppers)]
     return least[0] if least else None
+
+
+def with_lower_truncations(vines):
+    return [t for p in vines for t in [p] + [truncate(p, k, "lower")
+                                             for k in range(1, p.rank)]]
+
+
+def mutated(rng, p):
+    """``p`` with one node changed: a cover moved to another node one rank
+    down, a third cover added, or the rank shifted.  Covers still point to
+    nodes of smaller original rank, so the cover relation stays acyclic."""
+    items = {v: [p.rank_of[v], list(p.covers_of[v])] for v in p.nodes}
+    v = rng.choice([v for v in p.nodes if p.covers_of[v]])
+    rank, covers = items[v]
+    others = [u for u in p.levels.get(rank - 1, ()) if u not in covers]
+    move = rng.randrange(3)
+    if move == 0 and others:
+        covers[rng.randrange(len(covers))] = rng.choice(others)
+    elif move == 1 and others:
+        covers.append(rng.choice(others))
+    else:
+        items[v][0] = rank + rng.choice((-1, 1))
+    return VinePoset.build([(u, r, cs) for u, (r, cs) in items.items()])
 
 
 class TestClassify:
@@ -124,6 +149,24 @@ class TestClassify:
 
     def test_empty_poset_is_vacuously_regular(self):
         assert classify(VinePoset.build([])).kind == VineClass.R_VINE
+
+    def test_cross_classifier_agreement_on_random_posets(self):
+        # vines of 9-20 nodes, their truncations, and one-node mutations
+        rng = random.Random(17)
+        kinds = Counter()
+        while sum(kinds.values()) < 500:
+            g = random_mat_labeled_graph(rng, rng.randint(4, 8))
+            p = psi(extend_to_complete(g) if rng.random() < 0.3 else g)
+            if rng.random() < 0.3:
+                p = truncate(p, rng.randint(1, p.rank), rng.choice(("lower", "upper")))
+            if p.rank > 1 and rng.random() < 0.7:
+                p = mutated(rng, p)
+            if not 9 <= len(p.nodes) <= 20:
+                continue
+            kind = classify(p).kind
+            assert kind == classify_via_principal_ideals(p).kind
+            kinds[kind] += 1
+        assert len(kinds) == len(VineClass) and min(kinds.values()) >= 10
 
     def test_cross_classifier_agreement_on_fixtures(self):
         fixtures = [d_vine(4), c_vine(4), truncate(c_vine(4), 3, "lower"),
@@ -271,6 +314,31 @@ class TestJoinAndPaths:
         with pytest.raises(PosetInputError):
             join_and_paths(d_vine(3), "12", "3")
 
+    def test_agrees_with_omega_and_the_join(self):
+        # the path tower and omega's joins are independent routes to the
+        # edges of a vine's graph
+        rng = random.Random(29)
+        vines = [psi(g) for d in range(1, 7) for g in
+                 enumerate_mat_labelings_complete(d, with_representatives=True)
+                 .representatives]
+        vines += [psi(random_mat_labeled_graph(rng, rng.randint(1, 10)))
+                  for _ in range(300)]
+        vines += with_lower_truncations(
+            [build(d) for build in (d_vine, c_vine, root_poset_a)
+             for d in range(1, 13)])
+        edges = 0
+        for p in vines:
+            g = omega(p)
+            for i, j in combinations(p.minimals, 2):
+                found = join_and_paths(p, i, j)
+                assert (found is None) == (not g.has_edge(i, j))
+                if found is not None:
+                    edges += 1
+                    assert found.join == p.join(i, j)
+                    assert p.rank_of[found.join] == g.label_of(i, j) + 1
+                    assert cond_sets(p, found.join)[0] == {i, j}
+        assert edges > 5000
+
 
 class TestTruncate:
     def test_lower_truncation_keeps_ranks(self):
@@ -350,10 +418,17 @@ class TestSamplingOrders:
         rng = random.Random(9)
         posets = [d_vine(4), c_vine(5), truncate(c_vine(4), 3, "lower"),
                   psi(five_vertex_graph())]
+        posets += with_lower_truncations(
+            [psi(random_mat_labeled_graph(rng, rng.randint(1, 8))) for _ in range(25)])
         for p in posets:
-            order = find_sampling_order(p)
-            assert order is not None
-            assert is_sampling_order(p, order).ok
+            assert is_sampling_order(p, find_sampling_order(p)).ok
+
+    def test_find_refuses_when_no_node_can_be_marginalized(self, monkeypatch):
+        real = vine_poset.marginalize
+        monkeypatch.setattr(vine_poset, "marginalize",
+                            lambda p, v: (real(p, v)[0], False))
+        with pytest.raises(InternalDefectError, match="can be marginalized"):
+            find_sampling_order(d_vine(3))
 
     def test_non_permutation_rejected(self):
         with pytest.raises(PosetInputError):
