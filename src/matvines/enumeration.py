@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import itemgetter, or_
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import _bits
 from ._bits import find
@@ -92,9 +92,50 @@ def canonical_form(g: LabeledGraph) -> bytes:
     return (f"{n}:" + ",".join(map(str, key))).encode("ascii")
 
 
+def _assignments(order: Sequence, options: Callable) -> Iterator[dict]:
+    """Every injective assignment of the items of ``order``, depth first.
+
+    Each item goes to one of ``options(item, assigned)`` that no earlier
+    item took, where ``assigned`` maps the items before it; ``options`` is
+    asked once per visit of an item.  The one dict is yielded once per full
+    assignment and changes afterwards, so a caller keeps a copy.  The
+    search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    assigned: dict = {}
+    used: set = set()
+    if not order:
+        yield assigned
+        return
+    stack = [iter(options(order[0], assigned))]
+    while stack:
+        item = order[len(stack) - 1]
+        if item in assigned:
+            used.remove(assigned.pop(item))
+        for choice in stack[-1]:
+            if choice not in used:
+                assigned[item] = choice
+                used.add(choice)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            yield assigned
+        else:
+            stack.append(iter(options(order[len(stack)], assigned)))
+
+
 def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph
                    ) -> tuple[bool, dict[str, str] | None]:
-    """Decide label-preserving isomorphism and return a witness bijection."""
+    """Decide label-preserving isomorphism and return a witness bijection.
+
+    The vertices of ``g1`` are placed in maximum cardinality search order,
+    so each comes after as many of its neighbours as possible.  A vertex
+    goes to a vertex of ``g2`` with its sorted incident labels that carries
+    the right label to the image of every placed neighbour; with a placed
+    neighbour, the candidates are the neighbours of its image.
+    """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False, None
     if sorted(g1.edge_labels) != sorted(g2.edge_labels):
@@ -103,41 +144,33 @@ def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph
     inv2 = {v: tuple(sorted(g2.adjacency[v].values())) for v in g2.vertices}
     if sorted(inv1.values()) != sorted(inv2.values()):
         return False, None
-    order = sorted(g1.vertices, key=lambda v: (inv1[v], v))
-    used: set[str] = set()
-    mapping: dict[str, str] = {}
+    by_invariant: dict[tuple[int, ...], list[str]] = {}
+    for w in g2.vertices:
+        by_invariant.setdefault(inv2[w], []).append(w)
+    n, adj, _ = g1._bit_form()
+    order = [g1.vertices[i] for i in _bits.mcs_order(n, adj)]
 
-    def rec(t: int) -> bool:
-        if t == len(order):
-            return True
-        v = order[t]
-        for cand in g2.vertices:
-            if cand in used or inv2[cand] != inv1[v]:
-                continue
-            ok = True
-            for u, k in g1.adjacency[v].items():
-                if u in mapping:
-                    img = mapping[u]
-                    if not g2.has_edge(img, cand) or g2.label_of(img, cand) != k:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = cand
-                used.add(cand)
-                if rec(t + 1):
-                    return True
-                del mapping[v]
-                used.remove(cand)
-        return False
+    def options(v: str, assigned: dict[str, str]) -> list[str]:
+        placed = [(assigned[u], k) for u, k in g1.adjacency[v].items()
+                  if u in assigned]
+        pool = g2.adjacency[placed[0][0]] if placed else by_invariant[inv1[v]]
+        return [w for w in pool if inv2[w] == inv1[v]
+                and all(g2.adjacency[w].get(x) == k for x, k in placed)]
 
-    if rec(0):
+    for mapping in _assignments(order, options):
         # same edge count plus edge-preservation makes the inverse a morphism
         return True, dict(mapping)
     return False, None
 
 
 def poset_isomorphism(p1: VinePoset, p2: VinePoset) -> dict[str, str] | None:
-    """Brute-force rank-preserving isomorphism between graded posets."""
+    """A cover- and rank-preserving bijection between two posets, or None.
+
+    The nodes of ``p1`` are placed children first.  A node goes to a node
+    of ``p2`` with its profile (rank, number of covers, number of covering
+    nodes) that covers exactly the images of its covers, so in a vine a
+    node that covers anything has at most one candidate.
+    """
     if sorted(p1.ranks) != sorted(p2.ranks):
         return None
     profile1 = {v: (p1.rank_of[v], len(p1.covers_of[v]), len(p1.covered_by[v]))
@@ -146,29 +179,18 @@ def poset_isomorphism(p1: VinePoset, p2: VinePoset) -> dict[str, str] | None:
                 for v in p2.nodes}
     if sorted(profile1.values()) != sorted(profile2.values()):
         return None
-    order = sorted(p1.nodes, key=lambda v: (p1.rank_of[v], v))
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+    by_covers: dict[frozenset[str], list[str]] = {}
+    for w in p2.nodes:
+        by_covers.setdefault(frozenset(p2.covers_of[w]), []).append(w)
 
-    def rec(t: int) -> bool:
-        if t == len(order):
-            return True
-        v = order[t]
-        want_children = {mapping[c] for c in p1.covers_of[v]}
-        for cand in p2.nodes:
-            if cand in used or profile2[cand] != profile1[v]:
-                continue
-            if set(p2.covers_of[cand]) != want_children:
-                continue
-            mapping[v] = cand
-            used.add(cand)
-            if rec(t + 1):
-                return True
-            del mapping[v]
-            used.remove(cand)
-        return False
+    def options(v: str, assigned: dict[str, str]) -> list[str]:
+        images = frozenset(assigned[c] for c in p1.covers_of[v])
+        return [w for w in by_covers.get(images, ())
+                if profile2[w] == profile1[v]]
 
-    return dict(mapping) if rec(0) else None
+    for mapping in _assignments(p1._children_first, options):
+        return dict(mapping)
+    return None
 
 
 def are_isomorphic_vines(p1: VinePoset, p2: VinePoset) -> bool:
@@ -342,31 +364,21 @@ def _tree_automorphisms(n: int, edges: list[tuple[int, int]]
     """Every automorphism of a tree on vertices 0..n-1, as the tuple of
     vertex images.
 
-    Backtracking over a breadth-first order: each vertex goes to an unused
+    The vertices are placed in breadth-first order: each goes to an unused
     neighbour of its parent's image with the same degree.  A bijection that
     keeps every parent edge an edge maps the n-1 edges onto the n-1 edges,
     so every full assignment is an automorphism.
     """
     adj = _adjacency_lists(n, edges)
+    degree = list(map(len, adj))
     order, parent = _rooted(adj, 0)
-    image = [-1] * n
-    used = [False] * n
-    out: list[tuple[int, ...]] = []
 
-    def rec(k: int) -> None:
-        if k == n:
-            out.append(tuple(image))
-            return
-        v = order[k]
-        for c in adj[image[parent[v]]] if k else range(n):
-            if not used[c] and len(adj[c]) == len(adj[v]):
-                image[v] = c
-                used[c] = True
-                rec(k + 1)
-                used[c] = False
+    def options(v: int, assigned: dict[int, int]) -> list[int]:
+        pool = adj[assigned[parent[v]]] if v != order[0] else range(n)
+        return [c for c in pool if degree[c] == degree[v]]
 
-    rec(0)
-    return out
+    return [tuple(map(image.__getitem__, range(n)))
+            for image in _assignments(order, options)]
 
 
 def _degree_sequence(edges: list[tuple[int, int]]) -> tuple[int, ...]:

@@ -102,24 +102,14 @@ def forests_from_json(doc: Any) -> ForestSequence:
     if not isinstance(elements, list) or not isinstance(forests, list):
         raise PosetInputError("elements and forests must be lists")
     towers = []
-    prev_nodes = {str(e) for e in elements}
-    for level, forest in enumerate(forests, start=1):
-        edges = []
+    for forest in forests:
+        if not isinstance(forest, list):
+            raise PosetInputError(f"forests must be lists of pairs, got {forest!r}")
         for pair in forest:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise PosetInputError(f"forest edges must be pairs, got {pair!r}")
-            a = _forest_key_from_json(pair[0])
-            b = _forest_key_from_json(pair[1])
-            if a not in prev_nodes or b not in prev_nodes:
-                raise PosetInputError(
-                    f"level {level} edge endpoint is not a node of that level")
-            if a == b:
-                raise PosetInputError(f"level {level} contains a loop")
-            edges.append(frozenset((a, b)))
-        if len(set(edges)) != len(edges):
-            raise PosetInputError(f"level {level} repeats an edge")
-        towers.append(tuple(edges))
-        prev_nodes = set(edges)
+        towers.append(tuple(frozenset(map(_forest_key_from_json, pair))
+                            for pair in forest))
     return ForestSequence(tuple(str(e) for e in elements), tuple(towers))
 
 

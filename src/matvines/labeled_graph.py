@@ -121,9 +121,6 @@ class LabeledGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return _norm_edge(u, v) in self.labels
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        return frozenset(self.adjacency[v])
-
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
 
@@ -281,11 +278,10 @@ def is_strongly_chordal(g: Graph | LabeledGraph) -> Verdict:
     The decision runs by greedy simple-vertex elimination; witnesses are
     re-derived by direct search only on failure.
     """
-    plain = g.underlying() if isinstance(g, LabeledGraph) else g
-    n, adj = plain._bit_form()
+    n, adj = g._bit_form()[:2]
     if _bits.is_strongly_chordal_fast(n, adj):
         return Verdict.passed()
-    names = plain.vertices
+    names = g.vertices
     cycle = _bits.induced_cycle(n, adj)
     if cycle is not None:
         return Verdict.failed("NotChordal",
@@ -310,21 +306,19 @@ def find_mat_labeling(g: Graph | LabeledGraph) -> LabeledGraph | None:
     :func:`matvines.enumeration.mat_sc_agreement` calls that search on every
     graph, so its comparison with strong chordality stays independent.
     """
-    plain = g.underlying() if isinstance(g, LabeledGraph) else g
-    n, adj = plain._bit_form()
+    n, adj = g._bit_form()[:2]
     if not _bits.is_strongly_chordal_fast(n, adj):
         return None
     lab = _bits.find_mat_labeling(n, adj)
     if lab is None:
         raise InternalDefectError("no labeling found for a strongly chordal graph")
-    return LabeledGraph._from_matrix(plain.vertices, lab)
+    return LabeledGraph._from_matrix(g.vertices, lab)
 
 
 def maximal_cliques(g: Graph | LabeledGraph) -> list[frozenset[str]]:
     """Every maximal clique, smallest first and then by sorted vertex names."""
-    plain = g.underlying() if isinstance(g, LabeledGraph) else g
-    n, adj = plain._bit_form()
-    names = plain.vertices
+    n, adj = g._bit_form()[:2]
+    names = g.vertices
     cliques = [frozenset(names[i] for i in _bits.iter_bits(c))
                for c in _bits.maximal_cliques(n, adj)]
     return sorted(cliques, key=lambda c: (len(c), sorted(c)))

@@ -46,9 +46,6 @@ class Classification:
     kind: VineClass
     witness: Violation | None = None
 
-    def at_least(self, level: VineClass) -> bool:
-        return self.kind >= level
-
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind.name.lower()}
         if self.witness is not None:
@@ -612,40 +609,48 @@ def find_sampling_order(p: VinePoset) -> tuple[str, ...]:
 
 
 def _canonical_order(p: VinePoset) -> list[str]:
-    return sorted(p.nodes, key=lambda v: (p.rank_of[v], natural_key(v)))
+    """The nodes by height (the most nodes on a chain down from a node),
+    then by name: a linear extension, which on a graded poset is the order
+    by rank."""
+    height: dict[str, int] = {}
+    for v in p._children_first:
+        height[v] = 1 + max(map(height.__getitem__, p.covers_of[v]), default=0)
+    return sorted(p.nodes, key=lambda v: (height[v], natural_key(v)))
 
 
-def _ideal_walk(p: VinePoset, mode: str) -> Iterator[list[bool]]:
-    """Depth-first walk over the nodes in canonical order, leaving each node
-    out before taking it in; yields the shared choice vector once per ideal.
+def _ideal_walk(p: VinePoset, mode: str) -> Iterator[list[int]]:
+    """Depth-first two-way split over the nodes in canonical order: the first
+    undecided node is left out with every node above it, or taken in.
+    Yields the shared ascending list of the positions taken once per ideal.
 
-    The walk keeps its own stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    Every node below the first undecided one is decided, and a node left out
+    takes the nodes above it along, so the first undecided node can always
+    be taken in and every branch ends in an ideal.  The walk keeps its own
+    stack, so its depth is not bounded by the interpreter's recursion limit.
     """
     if mode not in ("all", "full_support"):
         raise PosetInputError(f"unknown mode {mode!r}")
     order = _canonical_order(p)
     pos = {v: t for t, v in enumerate(order)}
-    must_include = set(p.minimals) if mode == "full_support" else set()
-    covers = [[pos[c] for c in p.covers_of[v]] for v in order]
-    chosen = [False] * len(order)
-    # (position, stage): stage 0 leaves the node out, stage 1 takes it in
-    # when everything it covers is chosen, stage 2 undoes that
-    stack = [(0, 0)]
+    up = [0] * len(order)
+    for t in reversed(range(len(order))):
+        up[t] = reduce(or_, (up[pos[u]] for u in p.covered_by[order[t]]), 1 << t)
+    # the minimal nodes come first; full support takes them all in
+    start = len(p.minimals) if mode == "full_support" else 0
+    taken = list(range(start))
+    # (undecided positions, length of ``taken`` before, position taken in or -1)
+    stack = [((1 << len(order)) - (1 << start), start, -1)]
     while stack:
-        t, stage = stack.pop()
-        if t == len(order):
-            yield chosen
-        elif stage == 0:
-            stack.append((t, 1))
-            if order[t] not in must_include:
-                stack.append((t + 1, 0))
-        elif stage == 1:
-            if all(map(chosen.__getitem__, covers[t])):
-                chosen[t] = True
-                stack += [(t, 2), (t + 1, 0)]
-        else:
-            chosen[t] = False
+        free, depth, t = stack.pop()
+        del taken[depth:]
+        if t >= 0:
+            taken.append(t)
+        if not free:
+            yield taken
+            continue
+        low = free & -free
+        t = low.bit_length() - 1
+        stack += [(free ^ low, len(taken), t), (free & ~up[t], len(taken), -1)]
 
 
 def iter_ideals(p: VinePoset, mode: str = "all") -> Iterator[tuple[str, ...]]:
@@ -655,8 +660,8 @@ def iter_ideals(p: VinePoset, mode: str = "all") -> Iterator[tuple[str, ...]]:
     containing every minimal node.
     """
     order = _canonical_order(p)
-    for chosen in _ideal_walk(p, mode):
-        yield tuple(v for v, c in zip(order, chosen) if c)
+    for taken in _ideal_walk(p, mode):
+        yield tuple(map(order.__getitem__, taken))
 
 
 def count_ideals(p: VinePoset, mode: str = "all") -> int:

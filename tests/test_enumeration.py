@@ -6,6 +6,7 @@ import logging
 import os
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -13,12 +14,14 @@ from math import factorial
 import pytest
 
 from matvines import (GraphInputError, InternalDefectError, LabeledGraph,
-                      ResourceLimitError, _bits, c_vine, enumeration,
+                      ResourceLimitError, VinePoset, _bits, c_vine, d_vine,
+                      enumeration,
                       a047970, are_isomorphic, are_isomorphic_vines,
                       canonical_form, catalan, e_formula,
                       enumerate_mat_labelings_complete, check_mat_labeling,
                       mat_sc_agreement, omega, poset_isomorphism, psi,
-                      random_chordal_graph, random_mat_labeled_graph)
+                      random_chordal_graph, random_mat_labeled_graph,
+                      root_poset_a)
 from matvines.cli import main
 from matvines.enumeration import representative_graph, representative_name
 from conftest import five_vertex_graph
@@ -84,6 +87,36 @@ SYMMETRIC_FAMILIES = {
               for a in range(1, 12) for b in range(a, 13 - a)],
     "omega(c_vine(d))": [omega(c_vine(d)) for d in range(1, 13)],
 }
+
+
+def cycles_graph(*lengths):
+    """Disjoint cycles of the given lengths, every label 1."""
+    names, items = [], []
+    for m in lengths:
+        ring = [f"c{len(names) + i}" for i in range(m)]
+        items += [(ring[i], ring[(i + 1) % m], 1) for i in range(m)]
+        names += ring
+    return LabeledGraph.build(names, items)
+
+
+def is_label_isomorphism(g, h, witness):
+    """Whether ``witness`` is a bijection of the vertices that maps the
+    labeled edges of ``g`` exactly onto those of ``h``."""
+    if sorted(witness) != sorted(g.vertices) or \
+            sorted(witness.values()) != sorted(h.vertices):
+        return False
+    return {tuple(sorted((witness[u], witness[v]))): k
+            for (u, v), k in g.labels.items()} == h.labels
+
+
+def is_poset_isomorphism(p, q, mapping):
+    """Whether ``mapping`` is a rank- and cover-preserving bijection."""
+    if sorted(mapping) != sorted(p.nodes) or \
+            sorted(mapping.values()) != sorted(q.nodes):
+        return False
+    return all(p.rank_of[v] == q.rank_of[mapping[v]] and
+               set(q.covers_of[mapping[v]]) == {mapping[c] for c in p.covers_of[v]}
+               for v in p.nodes)
 
 
 class TestCanonicalForm:
@@ -184,6 +217,56 @@ class TestAreIsomorphic:
             for h in variants:
                 assert are_isomorphic(g, h)[0]
 
+    def test_matches_brute_force_over_every_vertex_permutation(self):
+        rng = random.Random(613)
+        pairs = [(cycles_graph(6), cycles_graph(3, 3)),
+                 (cycles_graph(3, 3), cycles_graph(3, 3)),
+                 (complete_bipartite_graph(3, 3),
+                  LabeledGraph.build("abcxyz", [(u, v, 1) for u, v in (
+                      "ab", "bc", "ca", "xy", "yz", "zx", "ax", "by", "cz")]))]
+        for trial in range(400):
+            n = rng.randint(0, 6)
+            g = LabeledGraph._from_matrix(
+                [f"x{i}" for i in range(n)],
+                random_label_matrix(rng, n, 0.5, 1 + trial % 3))
+            h = shuffled_copy(g, rng)
+            for _ in range(20 * (trial % 2) * (len(h.edges) >= 2)):
+                # a switch ab, cd -> ad, cb of two edges of one label keeps
+                # every vertex's incident labels
+                ((a, b), k), ((c, d), m) = rng.sample(sorted(h.labels.items()), 2)
+                if k == m and len({a, b, c, d}) == 4 and \
+                        not h.has_edge(a, d) and not h.has_edge(c, b):
+                    labels = {e: x for e, x in h.labels.items()
+                              if e not in ((a, b), (c, d))}
+                    h = LabeledGraph.from_labels(
+                        h.vertices, {**labels, (a, d): k, (c, b): k})
+                    break
+            pairs.append((g, h))
+        def label_degrees(g):
+            return sorted(sorted(g.adjacency[v].values()) for v in g.vertices)
+
+        same_invariants = 0
+        for g, h in pairs:
+            brute = any(
+                is_label_isomorphism(g, h, dict(zip(g.vertices, images)))
+                for images in permutations(h.vertices))
+            ok, witness = are_isomorphic(g, h)
+            assert ok == brute, (g.labels, h.labels)
+            if ok:
+                assert is_label_isomorphism(g, h, witness)
+            elif label_degrees(g) == label_degrees(h):
+                same_invariants += 1
+        assert same_invariants >= 10
+
+    def test_long_path_against_a_shuffled_copy(self):
+        names = [f"v{i}" for i in range(200)]
+        g = LabeledGraph.build(names, [(a, b, 1) for a, b in zip(names, names[1:])])
+        h = shuffled_copy(g, random.Random(200))
+        start = time.perf_counter()
+        ok, witness = are_isomorphic(g, h)
+        assert time.perf_counter() - start < 1.0
+        assert ok and is_label_isomorphism(g, h, witness)
+
 
 class TestVineIsomorphism:
     def test_reduction_matches_direct_poset_search(self):
@@ -196,8 +279,33 @@ class TestVineIsomorphism:
         small = [p for p in vines if len(p.nodes) <= 10]
         for a in small:
             for b in small:
-                assert are_isomorphic_vines(a, b) == \
-                    (poset_isomorphism(a, b) is not None)
+                mapping = poset_isomorphism(a, b)
+                assert are_isomorphic_vines(a, b) == (mapping is not None)
+                assert mapping is None or is_poset_isomorphism(a, b, mapping)
+
+    @pytest.mark.parametrize("build", [c_vine, d_vine, root_poset_a])
+    def test_vines_of_dimension_ten_to_twelve(self, build):
+        for dim in (10, 11, 12):
+            p = build(dim)
+            q = psi(omega(p))
+            start = time.perf_counter()
+            mapping = poset_isomorphism(p, q)
+            assert time.perf_counter() - start < 1.0, dim
+            assert is_poset_isomorphism(p, q, mapping)
+
+    def test_ranks_that_do_not_follow_the_covers(self):
+        p = VinePoset.build([("a", 2, []), ("b", 1, ["a"])])
+        q = VinePoset.build([("y", 1, ["x"]), ("x", 2, [])])
+        assert poset_isomorphism(p, q) == {"a": "x", "b": "y"}
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        def chain(prefix):
+            return VinePoset.build([(f"{prefix}{i}", i + 1,
+                                     [f"{prefix}{i - 1}"] if i else [])
+                                    for i in range(1100)])
+        p, q = chain("a"), chain("b")
+        mapping = poset_isomorphism(p, q)
+        assert is_poset_isomorphism(p, q, mapping)
 
 
 class TestFormulas:

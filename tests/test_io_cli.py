@@ -134,6 +134,14 @@ class TestForestInput:
         code, doc = run_cli(capsys, "check", str(path))
         assert code == 0 and doc["kind"] == "r_vine"
 
+    def test_a_level_that_is_not_a_list_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"format": "vine-forests/v1",
+                                    "elements": ["1", "2"], "forests": [5]}))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestConvertCommand:
     def test_psi_then_omega_round_trip(self, capsys, tmp_path, d4_path, d4_graph):
@@ -218,6 +226,14 @@ class TestOtherCommands:
         code, doc = run_cli(capsys, "count-ideals", str(path),
                             "--mode", "full_support")
         assert code == 0 and doc["full_support"] == 5 and "all" not in doc
+
+    def test_count_ideals_with_ranks_against_the_covers(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"format": "vine/v1", "nodes": [
+            {"id": "a", "rank": 2, "covers": []},
+            {"id": "b", "rank": 1, "covers": ["a"]}]}))
+        code, doc = run_cli(capsys, "count-ideals", str(path))
+        assert code == 0 and doc["all"] == 3 and doc["full_support"] == 2
 
     def test_truncate_marginalize_sampling(self, capsys, tmp_path):
         vine_path = tmp_path / "c4.json"

@@ -2,7 +2,9 @@
 
 import random
 from collections import Counter
+from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 
 import pytest
 
@@ -17,6 +19,7 @@ from matvines import (ForestSequence, InternalDefectError, PosetInputError,
                       random_mat_labeled_graph, root_poset_a,
                       to_forest_sequence, truncate, union_of)
 from matvines import vine_poset
+from matvines._bits import iter_bits
 from matvines.vine_poset import structurally_equal, union_vine
 from conftest import five_vertex_graph
 
@@ -462,6 +465,37 @@ class TestIdeals:
         ideals = list(iter_ideals(chain, "all"))
         assert ideals == [tuple(f"a{i}" for i in range(k))
                           for k in range(length + 1)]
+
+    def test_random_posets_with_random_ranks_match_brute_force(self):
+        # ranks are drawn apart from the covers, so most of these posets
+        # are not graded and the stored ranks are no linear extension
+        rng = random.Random(766)
+        for trial in range(120):
+            n = trial % 11
+            below = []
+            for j in range(n):
+                below.append(reduce(or_, [below[i] | 1 << i for i in range(j)
+                                          if rng.random() < 0.3], 0))
+            names = [f"n{i}" for i in rng.sample(range(n), n)]
+            rows = [(names[j], rng.randint(1, 4),
+                     [names[i] for i in iter_bits(c)])
+                    for j, c in enumerate(vine_poset._covers(below))]
+            rng.shuffle(rows)
+            p = VinePoset.build(rows)
+            for mode in ("all", "full_support"):
+                ideals = list(iter_ideals(p, mode))
+                assert count_ideals(p, mode) == len(ideals) == \
+                    len(set(ideals)) == brute_force_ideal_count(p, mode)
+                for ideal in ideals:
+                    chosen = set(ideal)
+                    assert all(set(p.covers_of[v]) <= chosen for v in chosen)
+                    if mode == "full_support":
+                        assert set(p.minimals) <= chosen
+
+    def test_ranks_against_the_covers(self):
+        p = VinePoset.build([("a", 2, []), ("b", 1, ["a"])])
+        assert list(iter_ideals(p, "all")) == [(), ("a",), ("a", "b")]
+        assert count_ideals(p, "full_support") == 2
 
     def test_c_vine3_both_modes(self):
         p = c_vine(3)
