@@ -9,6 +9,7 @@ avoid per-graph object overhead.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 
 
@@ -121,40 +122,60 @@ def mat_simplicial_violation(n: int, adj: list[int], lab: list[list[int]],
     return None
 
 
-def find_mat_peo(n: int, adj: list[int], lab: list[list[int]]) -> list[int] | None:
-    """Greedy elimination ordering; each prefix ends in a simplicial vertex.
+def eliminate(n: int, admissible) -> tuple[list[int], int]:
+    """Greedy peeling: remove the lowest alive vertex ``v`` for which
+    ``admissible(v, alive)`` holds, over and over.
 
-    Peeling any admissible vertex is safe because removing one preserves
-    the labeling property, so no backtracking is required.
+    Returns the removal order and the residual, the mask of the vertices
+    still alive when none is admissible (0 when every vertex went).  For a
+    hereditary property under which every graph has an admissible vertex,
+    the residual is 0 exactly on the graphs with the property.
     """
     alive = (1 << n) - 1
-    peeled = []
+    order = []
     while alive:
-        pick = -1
         for v in iter_bits(alive):
-            if mat_simplicial_violation(n, adj, lab, v, alive) is None:
-                pick = v
+            if admissible(v, alive):
+                order.append(v)
+                alive ^= 1 << v
                 break
-        if pick < 0:
-            return None
-        peeled.append(pick)
-        alive &= ~(1 << pick)
-    peeled.reverse()
-    return peeled
+        else:
+            break
+    return order, alive
+
+
+def find_mat_peo(n: int, adj: list[int], lab: list[list[int]]) -> list[int] | None:
+    """Elimination ordering; each prefix ends in a MAT-simplicial vertex.
+    Removing one preserves the labeling property, so greedy peeling decides."""
+    order, residual = eliminate(
+        n, lambda v, alive: mat_simplicial_violation(n, adj, lab, v, alive) is None)
+    return None if residual else order[::-1]
 
 
 def mcs_order(n: int, adj: list[int]) -> list[int]:
-    """Maximum cardinality search visit order (lowest index wins ties)."""
+    """Maximum cardinality search visit order (lowest index wins ties).
+
+    ``by_weight[w]`` masks the unvisited vertices of weight w, and the last
+    mask is never empty, so the next vertex is its lowest bit.
+    """
     weight = [0] * n
+    by_weight = [(1 << n) - 1]
     order = []
-    unnumbered = set(range(n))
-    while unnumbered:
-        z = max(unnumbered, key=lambda v: (weight[v], -v))
-        unnumbered.remove(z)
+    for _ in range(n):
+        while not by_weight[-1]:
+            by_weight.pop()
+        z = (by_weight[-1] & -by_weight[-1]).bit_length() - 1
+        by_weight[-1] ^= 1 << z
+        weight[z] = -1
         order.append(z)
         for y in iter_bits(adj[z]):
-            if y in unnumbered:
-                weight[y] += 1
+            w = weight[y]
+            if w >= 0:
+                if w + 1 == len(by_weight):
+                    by_weight.append(0)
+                by_weight[w] ^= 1 << y
+                by_weight[w + 1] |= 1 << y
+                weight[y] = w + 1
     return order
 
 
@@ -214,44 +235,22 @@ def maximal_cliques(n: int, adj: list[int]) -> list[int]:
     return out
 
 
-def is_strongly_chordal_fast(n: int, adj: list[int]) -> bool:
-    """Greedy simple-vertex elimination.
-
-    A vertex is simple when the closed neighbourhoods of its neighbours form
-    an inclusion chain; a graph admits a simple elimination ordering exactly
-    when it is strongly chordal, and the class is hereditary, so greedy
-    peeling decides membership.
-    """
-    alive = (1 << n) - 1
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    remaining = n
-    while remaining:
-        found = -1
-        m = alive
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            sets = sorted(closed[u] & alive for u in iter_bits(adj[v] & alive))
-            ok = True
-            prev = 0
-            first = True
-            for s in sets:
-                if first:
-                    prev, first = s, False
-                elif prev & ~s:
-                    ok = False
-                    break
-                else:
-                    prev = s
-            if ok:
-                found = v
-                break
-        if found < 0:
+def is_simple(adj: list[int], v: int, alive: int) -> bool:
+    """Whether the closed neighbourhoods of the neighbours of ``v`` form an
+    inclusion chain in the subgraph induced by ``alive``."""
+    sets = sorted((adj[u] | 1 << u) & alive for u in iter_bits(adj[v] & alive))
+    prev = 0
+    for s in sets:
+        if prev & ~s:
             return False
-        alive &= ~(1 << found)
-        remaining -= 1
+        prev = s
     return True
+
+
+def is_strongly_chordal_fast(n: int, adj: list[int]) -> bool:
+    """Greedy simple-vertex elimination: a graph is strongly chordal exactly
+    when it has a simple elimination ordering, so when the residual is 0."""
+    return not eliminate(n, partial(is_simple, adj))[1]
 
 
 def find_sun(n: int, adj: list[int]):

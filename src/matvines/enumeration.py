@@ -236,6 +236,8 @@ def a047970(dimension: int) -> int:
 
 def catalan(n: int) -> int:
     """n-th Catalan number, exact."""
+    if n < 0:
+        raise PosetInputError("n must not be negative")
     from math import comb
     return comb(2 * n, n) // (n + 1)
 
@@ -625,7 +627,7 @@ def _decide(n: int, pairs: list[tuple[int, int]], mask: int) -> tuple[bool, bool
             _bits.find_mat_labeling(n, adj) is not None)
 
 
-def mat_sc_agreement(n: int, progress: bool = False) -> AgreementReport:
+def mat_sc_agreement(n: int) -> AgreementReport:
     """Exhaustively compare labelability with strong chordality over every
     graph on n labeled vertices.
 
@@ -635,8 +637,8 @@ def mat_sc_agreement(n: int, progress: bool = False) -> AgreementReport:
     the edge permutations induced by all n! vertex permutations; the orbit
     sizes must sum to exactly 2^m over the m vertex pairs, otherwise the
     sweep raises :class:`InternalDefectError`.  ``discrepancies`` lists every
-    disagreeing labeled mask, whole orbits, in ascending order.  With
-    ``progress`` the sweep logs the classes decided and the share of masks
+    disagreeing labeled mask, whole orbits, in ascending order.  Every 5 %
+    of the masks the sweep logs the classes decided and the share of masks
     covered to the ``matvines`` logger at INFO level.  Sweeps above
     ``AGREEMENT_VERTEX_BOUND`` vertices are refused.
     """
@@ -665,7 +667,7 @@ def mat_sc_agreement(n: int, progress: bool = False) -> AgreementReport:
         mat_count += mat * size
         if sc != mat:
             bad.extend(orbit)
-        if progress and (covered >= next_report or covered == total):
+        if covered >= next_report or covered == total:
             logger.info("agreement sweep n=%d: %d classes decided, %.0f%% of "
                         "masks covered", n, classes, 100.0 * covered / total)
             next_report = covered + report_every

@@ -56,8 +56,6 @@ def vine_from_json(doc: Any) -> VinePoset:
     for row in nodes:
         if not isinstance(row, dict) or not {"id", "rank", "covers"} <= set(row):
             raise PosetInputError(f"node rows need id, rank, covers: {row!r}")
-        if not isinstance(row["rank"], int) or isinstance(row["rank"], bool):
-            raise PosetInputError(f"rank of {row.get('id')!r} must be an integer")
         if not isinstance(row["covers"], list):
             raise PosetInputError(f"covers of {row.get('id')!r} must be a list")
         items.append((row["id"], row["rank"], row["covers"]))

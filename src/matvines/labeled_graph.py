@@ -4,7 +4,7 @@ validation, search, and construction operations on them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -235,11 +235,8 @@ def is_mat_simplicial(g: LabeledGraph, v: str) -> Verdict:
 def find_mat_peo(g: LabeledGraph) -> Ordering | None:
     """An ordering whose every prefix ends in a simplicial vertex with
     admissible labels, or None when the labeling is invalid."""
-    n, adj, lab = g._bit_form()
-    order = _bits.find_mat_peo(n, adj, lab)
-    if order is None:
-        return None
-    return tuple(g.vertices[i] for i in order)
+    order = _bits.find_mat_peo(*g._bit_form())
+    return None if order is None else tuple(g.vertices[i] for i in order)
 
 
 def principal_clique(g: LabeledGraph, u: str, v: str) -> frozenset[str]:
@@ -275,26 +272,28 @@ def principal_cliques(g: LabeledGraph) -> dict[tuple[str, str], frozenset[str]]:
 def is_strongly_chordal(g: Graph | LabeledGraph) -> Verdict:
     """Decide strong chordality, with an induced cycle or sun as witness.
 
-    The decision runs by greedy simple-vertex elimination; witnesses are
-    re-derived by direct search only on failure.
+    The decision runs by greedy simple-vertex elimination.  The vertices it
+    cannot remove induce a subgraph without a simple vertex, which by
+    Farber's theorem holds a chordless cycle or a sun; the witness is
+    searched for there only, and is induced in ``g`` as well.
     """
     n, adj = g._bit_form()[:2]
-    if _bits.is_strongly_chordal_fast(n, adj):
+    residual = _bits.eliminate(n, partial(_bits.is_simple, adj))[1]
+    if not residual:
         return Verdict.passed()
-    names = g.vertices
-    cycle = _bits.induced_cycle(n, adj)
+    keep = list(_bits.iter_bits(residual))
+    sub = [sum(1 << i for i, u in enumerate(keep) if adj[v] >> u & 1) for v in keep]
+    names = [g.vertices[v] for v in keep]
+    cycle = _bits.induced_cycle(len(keep), sub)
     if cycle is not None:
-        return Verdict.failed("NotChordal",
-                              subject=tuple(names[i] for i in cycle),
-                              cycle=tuple(names[i] for i in cycle))
-    sun = _bits.find_sun(n, adj)
+        cycle = tuple(names[i] for i in cycle)
+        return Verdict.failed("NotChordal", subject=cycle, cycle=cycle)
+    sun = _bits.find_sun(len(keep), sub)
     if sun is None:
-        raise InternalDefectError("not strongly chordal yet chordal and sun-free")
+        raise InternalDefectError("no simple vertex left, yet chordal and sun-free")
     inner, outer = sun
-    return Verdict.failed(
-        "SunFound",
-        subject=tuple(names[i] for i in inner) + tuple(names[i] for i in outer),
-        message=f"induced {len(inner)}-sun")
+    return Verdict.failed("SunFound", subject=tuple(names[i] for i in inner + outer),
+                          message=f"induced {len(inner)}-sun")
 
 
 def find_mat_labeling(g: Graph | LabeledGraph) -> LabeledGraph | None:

@@ -68,14 +68,14 @@ class VinePoset:
 
     @classmethod
     def build(cls, items: Iterable[tuple[str, int, Iterable[str]]]) -> "VinePoset":
-        rows = [(str(i), int(r), tuple(str(c) for c in cs)) for (i, r, cs) in items]
+        rows = [(str(i), r, tuple(str(c) for c in cs)) for (i, r, cs) in items]
         ids = [i for (i, _, _) in rows]
         if len(set(ids)) != len(ids):
             raise PosetInputError("duplicate node identifiers")
         known = set(ids)
         for (i, r, cs) in rows:
-            if r < 1:
-                raise PosetInputError(f"node {i!r} has rank {r} < 1")
+            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+                raise PosetInputError(f"rank {r!r} of node {i!r} is not a positive integer")
             if len(set(cs)) != len(cs):
                 raise PosetInputError(f"node {i!r} repeats a covered node")
             for c in cs:

@@ -14,8 +14,8 @@ from math import factorial
 import pytest
 
 from matvines import (GraphInputError, InternalDefectError, LabeledGraph,
-                      ResourceLimitError, VinePoset, _bits, c_vine, d_vine,
-                      enumeration,
+                      PosetInputError, ResourceLimitError, VinePoset, _bits,
+                      c_vine, d_vine, enumeration,
                       a047970, are_isomorphic, are_isomorphic_vines,
                       canonical_form, catalan, e_formula,
                       enumerate_mat_labelings_complete, check_mat_labeling,
@@ -331,6 +331,12 @@ class TestFormulas:
 
     def test_catalan(self):
         assert [catalan(n) for n in range(2, 9)] == [2, 5, 14, 42, 132, 429, 1430]
+        assert catalan(0) == catalan(1) == 1
+
+    def test_catalan_refuses_negative_input(self):
+        for n in (-1, -5):
+            with pytest.raises(PosetInputError):
+                catalan(n)
 
 
 class TestEnumerate:
@@ -788,7 +794,7 @@ class TestAgreementDriver:
 
     def test_progress_goes_to_the_package_logger(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="matvines"):
-            mat_sc_agreement(5, progress=True)
+            mat_sc_agreement(5)
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "matvines"]
         assert messages

@@ -1,6 +1,8 @@
 """Validation, search, and construction operations on labeled graphs."""
 
 import random
+import time
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -14,7 +16,8 @@ from matvines import (GraphInputError, Graph, LabeledGraph, PreconditionError,
                       find_mat_labeling, find_mat_peo, glue,
                       is_mat_simplicial, is_strongly_chordal, maximal_cliques,
                       merge_complete, omega, principal_clique,
-                      principal_cliques, psi, random_mat_labeled_graph)
+                      principal_cliques, psi, random_chordal_graph,
+                      random_mat_labeled_graph)
 
 
 def backtracking_completions(g):
@@ -312,6 +315,66 @@ class TestPrincipalCliques:
             principal_cliques(g)
 
 
+def induced_chordless_cycle(adj, cycle):
+    """Whether ``cycle`` lists the vertices of an induced cycle of length
+    at least 4, in order around it."""
+    k = len(cycle)
+    return k >= 4 and len(set(cycle)) == k and all(
+        bool(adj[cycle[i]] >> cycle[j] & 1) == ((j - i) % k in (1, k - 1))
+        for i, j in combinations(range(k), 2))
+
+
+def induced_sun(adj, inner, outer):
+    """Whether ``inner`` and ``outer`` induce a sun aligned as
+    :func:`matvines._bits.find_sun` aligns it: ``outer[i]`` is adjacent to
+    ``inner[i]`` and ``inner[i + 1]`` only."""
+    k = len(inner)
+    return k >= 3 and len(outer) == k and len(set(inner + outer)) == 2 * k and all(
+        adj[a] >> b & 1 for a, b in combinations(inner, 2)) and all(
+        [bool(adj[o] >> u & 1) for u in inner + outer]
+        == [u in (inner[i], inner[(i + 1) % k]) for u in inner + outer]
+        for i, o in enumerate(outer))
+
+
+def brute_force_strongly_chordal(n, adj):
+    """No vertex subset induces a chordless cycle or a sun, read off the
+    degrees inside each subset: a cycle is 2-regular and connected; a k-sun
+    has k vertices of degree k + 1 forming a clique and k of degree 2, each
+    joined to two of them, and those pairs form one k-cycle."""
+    def connected(ring, mask):
+        reached = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            for v in bits.iter_bits(frontier):
+                grown |= ring[v]
+            frontier = grown & mask & ~reached
+            reached |= frontier
+        return reached == mask
+
+    for r in range(4, n + 1):
+        for subset in combinations(range(n), r):
+            mask = sum(1 << v for v in subset)
+            sub = [adj[v] & mask for v in range(n)]
+            if all(sub[v].bit_count() == 2 for v in subset) and connected(sub, mask):
+                return False
+            k = r // 2
+            inner = sum(1 << v for v in subset if sub[v].bit_count() == k + 1)
+            outer = [v for v in subset if sub[v].bit_count() == 2]
+            if r % 2 or k < 3 or inner.bit_count() != k or len(outer) != k:
+                continue
+            ring = [0] * n
+            for o in outer:
+                a, b = bits.iter_bits(sub[o])
+                ring[a] |= 1 << b
+                ring[b] |= 1 << a
+            if (all(sub[o] & ~inner == 0 for o in outer)
+                    and all(ring[v].bit_count() == 2 and (sub[v] & inner) | 1 << v == inner
+                            for v in bits.iter_bits(inner))
+                    and connected(ring, inner)):
+                return False
+    return True
+
+
 class TestStronglyChordal:
     def test_four_cycle(self):
         g = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
@@ -366,6 +429,65 @@ class TestStronglyChordal:
         assert bits._close_sun_cycle(list(range(6)), one_cycle) == (
             (0, 1, 2, 3, 4, 5), (6, 8, 10, 7, 9, 11))
 
+    def test_residual_holds_the_witness(self):
+        # random graphs of 0-9 vertices: of any density, chordal, or a
+        # 3- or 4-sun with vertices of random neighbourhoods added
+        rng = random.Random(41)
+        seen = {"ok": 0, "NotChordal": 0, "SunFound": 0}
+        for trial in range(600):
+            n = trial % 10
+            names = rng.sample([f"x{i}" for i in range(n)], n)
+            k = rng.choice((3, 4))
+            if trial % 3 == 1:
+                g = random_chordal_graph(rng, n)
+            elif trial % 3 == 2 and n >= 2 * k:
+                edges = list(combinations(names[:k], 2))
+                edges += [(names[k + i], names[j % k]) for i in range(k) for j in (i, i + 1)]
+                edges += [(v, u) for i, v in enumerate(names[2 * k:], 2 * k)
+                          for u in names[:i] if rng.random() < 0.3]
+                g = Graph.build(names, edges)
+            else:
+                density = rng.random()
+                g = Graph.build(names, [e for e in combinations(names, 2)
+                                        if rng.random() < density])
+            n, adj = g._bit_form()
+            residual = bits.eliminate(n, partial(bits.is_simple, adj))[1]
+            assert (residual == 0) == brute_force_strongly_chordal(n, adj)
+            assert not any(bits.is_simple(adj, v, residual)
+                           for v in bits.iter_bits(residual))
+            verdict = is_strongly_chordal(g)
+            assert verdict.ok == (residual == 0)
+            if verdict.ok:
+                seen["ok"] += 1
+                continue
+            tag, subject = verdict.violation.tag, verdict.violation.subject
+            seen[tag] += 1
+            witness = [g.vertices.index(v) for v in subject]
+            assert all(residual >> v & 1 for v in witness)
+            if tag == "NotChordal":
+                assert induced_chordless_cycle(adj, witness)
+            else:
+                k = len(witness) // 2
+                assert induced_sun(adj, witness[:k], witness[k:])
+        assert min(seen.values()) > 0, seen
+
+    def test_suns_beside_long_paths_are_found_fast(self):
+        # the witness search runs on the residual, so the path does not
+        # enter it; the whole 16-18 vertices take seconds to search
+        for k, m in ((5, 8), (6, 4)):
+            inner = [f"u{i}" for i in range(k)]
+            outer = [f"w{i}" for i in range(k)]
+            path = [f"p{i}" for i in range(m)]
+            edges = list(combinations(inner, 2))
+            edges += [(outer[i], inner[j % k]) for i in range(k) for j in (i, i + 1)]
+            edges += list(zip(path, path[1:]))
+            g = Graph.build(inner + outer + path, edges)
+            start = time.perf_counter()
+            verdict = is_strongly_chordal(g)
+            assert time.perf_counter() - start < 1.0
+            assert verdict.violation.tag == "SunFound"
+            assert set(verdict.violation.subject) == set(inner + outer)
+
     def test_complete_graphs(self):
         for n in range(1, 7):
             names = [f"x{i}" for i in range(n)]
@@ -374,6 +496,49 @@ class TestStronglyChordal:
 
     def test_accepts_labeled_input(self, d4_graph):
         assert is_strongly_chordal(d4_graph).ok
+
+
+def reference_mcs_order(n, adj):
+    """Maximum cardinality search by the rule itself: the unvisited vertex
+    of the most visited neighbours, the lowest index among equals."""
+    weight = [0] * n
+    order = []
+    unvisited = set(range(n))
+    while unvisited:
+        z = max(unvisited, key=lambda v: (weight[v], -v))
+        unvisited.remove(z)
+        order.append(z)
+        for y in bits.iter_bits(adj[z]):
+            if y in unvisited:
+                weight[y] += 1
+    return order
+
+
+class TestMcsOrder:
+    def test_matches_the_rule_on_random_graphs(self):
+        rng = random.Random(29)
+        for trial in range(1500):
+            n = trial % 15
+            density = rng.random()
+            adj = [0] * n
+            for i, j in combinations(range(n), 2):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            assert bits.mcs_order(n, adj) == reference_mcs_order(n, adj)
+
+    def test_long_shuffled_path(self):
+        rng = random.Random(3)
+        n = 1500
+        perm = rng.sample(range(n), n)
+        adj = [0] * n
+        for a, b in zip(perm, perm[1:]):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        start = time.perf_counter()
+        order = bits.mcs_order(n, adj)
+        assert time.perf_counter() - start < 0.2
+        assert order == reference_mcs_order(n, adj)
 
 
 class TestMaximalCliques:

@@ -588,6 +588,12 @@ class TestBuilders:
         with pytest.raises(PosetInputError):
             build_standard("mystery", 3)
 
+    def test_ranks_must_be_integers(self):
+        for rank in ("x", "1", 1.7, 1.0, True, None):
+            with pytest.raises(PosetInputError):
+                VinePoset.build([("1", rank, [])])
+        assert VinePoset.build([("1", 1, [])]).ranks == (1,)
+
     def test_regular_vine_level_sizes(self):
         for dim in range(1, 7):
             for p in (d_vine(dim), c_vine(dim)):
