@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import enumeration, functors, io, vine_poset
 from .errors import MatvinesError, ResourceLimitError
@@ -28,6 +27,14 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _load(path: str) -> LabeledGraph | VinePoset:
+    """A graph or a vine file; a forest sequence is read as its vine."""
+    obj = io.load_structure(path)
+    if isinstance(obj, vine_poset.ForestSequence):
+        return vine_poset.from_forest_sequence(obj)
+    return obj
+
+
 def _load_graph(path: str) -> LabeledGraph:
     obj = io.load_structure(path)
     if not isinstance(obj, LabeledGraph):
@@ -36,25 +43,28 @@ def _load_graph(path: str) -> LabeledGraph:
 
 
 def _load_vine(path: str) -> VinePoset:
-    obj = io.load_structure(path)
-    if isinstance(obj, vine_poset.ForestSequence):
-        return vine_poset.from_forest_sequence(obj)
+    obj = _load(path)
     if not isinstance(obj, VinePoset):
         raise MatvinesError(f"{path} does not hold a vine document")
     return obj
 
 
-def _write_dot(obj: LabeledGraph | VinePoset, path: str) -> None:
-    if isinstance(obj, LabeledGraph):
-        Path(path).write_text(io.graph_to_dot(obj))
-    else:
-        Path(path).write_text(io.vine_to_dot(obj))
+def _save(result: LabeledGraph | VinePoset, args) -> None:
+    """Write ``--out`` and, where the command has the flag, ``--dot``."""
+    io.save_structure(result, args.out)
+    if getattr(args, "dot", None):
+        io.save_dot(result, args.dot)
+
+
+def _save_graph(out: LabeledGraph, args) -> int:
+    _save(out, args)
+    _emit({"out": args.out, "vertices": len(out.vertices),
+           "edges": len(out.edges)})
+    return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    obj = io.load_structure(args.path)
-    if isinstance(obj, vine_poset.ForestSequence):
-        obj = vine_poset.from_forest_sequence(obj)
+    obj = _load(args.path)
     if isinstance(obj, LabeledGraph):
         verdict = check_mat_labeling(obj)
         _emit({"input": "graph", **verdict.to_json()})
@@ -76,9 +86,7 @@ def cmd_convert(args) -> int:
         p = _load_vine(args.path)
         result = functors.omega(p)
         roundtrip = functors.roundtrip_check(p) if args.roundtrip else None
-    io.save_structure(result, args.out)
-    if args.dot:
-        _write_dot(result, args.dot)
+    _save(result, args)
     doc = {"direction": "psi" if args.psi else "omega", "out": args.out}
     if roundtrip is not None:
         doc["roundtrip"] = roundtrip.verdict.to_json()
@@ -91,25 +99,20 @@ def cmd_convert(args) -> int:
 
 def cmd_enumerate(args) -> int:
     report = enumeration.enumerate_mat_labelings_complete(
-        args.dimension,
-        allow_large=args.unbounded,
-        with_representatives=args.emit_representatives is not None,
-        jobs=args.jobs)
+        args.dimension, allow_large=args.unbounded, jobs=args.jobs)
     if args.emit_representatives is not None:
-        outdir = Path(args.emit_representatives)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for key, rep in zip(report.keys, report.representatives):
-            name = enumeration.representative_name(args.dimension, key)
-            io.save_structure(rep, outdir / f"{name}.json")
+        io.save_representatives(report, args.emit_representatives)
     _emit(report.to_json())
     return EXIT_OK
 
 
 def cmd_count_ideals(args) -> int:
     doc: dict = {}
+    if (args.kind is None) != (args.dim is None):
+        raise MatvinesError("--kind and --dim go together")
+    if (args.path is None) == (args.kind is None):
+        raise MatvinesError("count-ideals needs a PATH or --kind/--dim, not both")
     if args.kind:
-        if args.dim is None:
-            raise MatvinesError("--kind requires --dim")
         p = vine_poset.build_standard(args.kind, args.dim)
         doc["kind"] = args.kind
         doc["dim"] = args.dim
@@ -117,10 +120,8 @@ def cmd_count_ideals(args) -> int:
             doc["catalan"] = enumeration.catalan(args.dim + 1)
         if args.kind == "c_vine":
             doc["a047970"] = enumeration.a047970(args.dim)
-    elif args.path:
-        p = _load_vine(args.path)
     else:
-        raise MatvinesError("count-ideals needs a PATH or --kind/--dim")
+        p = _load_vine(args.path)
     modes = ("all", "full_support") if args.mode == "both" else (args.mode,)
     for mode in modes:
         doc[mode] = vine_poset.count_ideals(p, mode)
@@ -131,9 +132,7 @@ def cmd_count_ideals(args) -> int:
 def cmd_truncate(args) -> int:
     p = _load_vine(args.path)
     result = vine_poset.truncate(p, args.k, args.direction)
-    io.save_structure(result, args.out)
-    if args.dot:
-        _write_dot(result, args.dot)
+    _save(result, args)
     _emit({"k": args.k, "direction": args.direction, "out": args.out,
            "nodes": len(result.nodes),
            "classification": classify(result).to_json()})
@@ -143,7 +142,7 @@ def cmd_truncate(args) -> int:
 def cmd_marginalize(args) -> int:
     p = _load_vine(args.path)
     result, graded = vine_poset.marginalize(p, args.node)
-    io.save_structure(result, args.out)
+    _save(result, args)
     _emit({"node": args.node, "out": args.out, "graded": graded,
            "nodes": len(result.nodes)})
     return EXIT_OK
@@ -163,40 +162,27 @@ def cmd_sampling_order(args) -> int:
 def cmd_embed(args) -> int:
     p = _load_vine(args.path)
     target, morphism = functors.embed_in_r_vine(p)
-    io.save_structure(target, args.out)
+    _save(target, args)
     doc = {"out": args.out, "target_nodes": len(target.nodes),
            "map": dict(sorted(morphism.mapping.items()))}
     if args.map_out:
-        Path(args.map_out).write_text(
-            json.dumps({"map": doc["map"]}, indent=2, sort_keys=True) + "\n")
+        io.save_map(doc["map"], args.map_out)
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_glue(args) -> int:
-    out = glue(_load_graph(args.first), _load_graph(args.second))
-    io.save_structure(out, args.out)
-    _emit({"out": args.out, "vertices": len(out.vertices),
-           "edges": len(out.edges)})
-    return EXIT_OK
+    return _save_graph(glue(_load_graph(args.first), _load_graph(args.second)),
+                       args)
 
 
 def cmd_merge(args) -> int:
-    out = merge_complete(_load_graph(args.first), _load_graph(args.second))
-    io.save_structure(out, args.out)
-    _emit({"out": args.out, "vertices": len(out.vertices),
-           "edges": len(out.edges)})
-    return EXIT_OK
+    return _save_graph(
+        merge_complete(_load_graph(args.first), _load_graph(args.second)), args)
 
 
 def cmd_extend(args) -> int:
-    out = extend_to_complete(_load_graph(args.path))
-    io.save_structure(out, args.out)
-    if args.dot:
-        _write_dot(out, args.dot)
-    _emit({"out": args.out, "vertices": len(out.vertices),
-           "edges": len(out.edges)})
-    return EXIT_OK
+    return _save_graph(extend_to_complete(_load_graph(args.path)), args)
 
 
 def cmd_canon(args) -> int:

@@ -11,6 +11,7 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from operator import itemgetter, or_
 from typing import Callable, Iterator, Sequence
@@ -486,9 +487,14 @@ class EnumerationReport:
     class_count: int
     formula_count: int
     elapsed_ms: float
-    representatives: tuple[LabeledGraph, ...] | None = None
-    # the canonical key of each representative, in the same order
-    keys: tuple[tuple[int, ...], ...] | None = None
+    # the canonical key of each class, ascending
+    keys: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def representatives(self) -> tuple[LabeledGraph, ...]:
+        """One graph per class, in the order of ``keys``."""
+        return tuple(representative_graph(self.dimension, key)
+                     for key in self.keys)
 
     def to_json(self) -> dict:
         return {"l": self.dimension, "class_count": self.class_count,
@@ -510,7 +516,6 @@ def representative_name(dimension: int, key: tuple[int, ...]) -> str:
 def enumerate_mat_labelings_complete(
         dimension: int, *,
         allow_large: bool = False,
-        with_representatives: bool = False,
         jobs: int = 1) -> EnumerationReport:
     """Count the valid labelings of the complete graph up to isomorphism.
 
@@ -521,14 +526,17 @@ def enumerate_mat_labelings_complete(
     leaves).  Over every other tree the search builds the level trees
     bottom-up under the proximity constraint and identifies two towers when
     an automorphism of the tree maps one onto the other.  Each class gets
-    its canonical key once; with ``with_representatives`` the report holds
-    one graph per class and its key, sorted by key.  ``jobs`` bounds the
-    worker processes for the trees other than the star.  Dimensions above
-    ``DEFAULT_DIMENSION_BOUND`` are refused unless ``allow_large`` is set;
-    nothing is ever silently truncated.
+    its canonical key once; the report holds the keys in ascending order,
+    and ``representatives`` builds one graph per key on first use.
+    ``jobs`` (at least 1) bounds the worker processes for the trees other
+    than the star.  Dimensions above ``DEFAULT_DIMENSION_BOUND`` are
+    refused unless ``allow_large`` is set; nothing is ever silently
+    truncated.
     """
     if dimension < 1:
         raise GraphInputError("dimension must be at least 1")
+    if jobs < 1:
+        raise GraphInputError("jobs must be at least 1")
     if dimension > DEFAULT_DIMENSION_BOUND and not allow_large:
         raise ResourceLimitError(
             f"dimension {dimension} exceeds the configured bound "
@@ -536,17 +544,12 @@ def enumerate_mat_labelings_complete(
     start = time.perf_counter()
     keys = _enumerate_classes(dimension, jobs=jobs)
     elapsed = (time.perf_counter() - start) * 1000.0
-    reps = ordered = None
-    if with_representatives:
-        ordered = tuple(sorted(keys))
-        reps = tuple(representative_graph(dimension, key) for key in ordered)
     return EnumerationReport(
         dimension=dimension,
         class_count=len(keys),
         formula_count=e_formula(dimension),
         elapsed_ms=elapsed,
-        representatives=reps,
-        keys=ordered)
+        keys=tuple(sorted(keys)))
 
 
 @dataclass(frozen=True)

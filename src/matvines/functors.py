@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Sequence
 
 from ._bits import iter_bits
 from .errors import InternalDefectError, MorphismError, PreconditionError
@@ -27,9 +26,6 @@ class GraphMorphism:
     target: LabeledGraph
     mapping: dict[str, str]
 
-    def __call__(self, v: str) -> str:
-        return self.mapping[v]
-
 
 @dataclass(frozen=True, eq=False)
 class PosetMorphism:
@@ -40,9 +36,6 @@ class PosetMorphism:
     mapping: dict[str, str]
     rank_preserving: bool = False
     join_preserving: bool = False
-
-    def __call__(self, v: str) -> str:
-        return self.mapping[v]
 
 
 def validate_graph_morphism(m: GraphMorphism) -> None:
@@ -283,16 +276,14 @@ def embed_in_r_vine(p: VinePoset) -> tuple[VinePoset, PosetMorphism]:
 
 
 def check_pushout(g1: LabeledGraph, g2: LabeledGraph, overlap: LabeledGraph,
-                  glued: LabeledGraph,
-                  targets: Sequence[LabeledGraph] = ()) -> Verdict:
+                  glued: LabeledGraph) -> Verdict:
     """Verify that the gluing square commutes; that is the whole check.
 
     A commuting square's glued graph has exactly the pieces' vertices and
     labeled edges.  So for every pair of compatible maps (h1, h2) out of the
     pieces into any target, the joint map ``{**h1, **h2}`` is label-preserving
     and is the only mediator, as a mediator must agree with h1 and h2 on every
-    vertex.  ``targets`` are only refused (:class:`PreconditionError`) when
-    one is not MAT-labeled.
+    vertex, so the verdict needs no target.
     """
     shared = set(g1.vertices) & set(g2.vertices)
     if set(overlap.vertices) != shared:
@@ -300,11 +291,6 @@ def check_pushout(g1: LabeledGraph, g2: LabeledGraph, overlap: LabeledGraph,
     for g, tag in ((g1, "first"), (g2, "second")):
         if overlap.labels != {e: k for e, k in g.restrict(shared).labels.items()}:
             raise PreconditionError(f"overlap does not match the {tag} input")
-    for t_index, target in enumerate(targets):
-        verdict = check_mat_labeling(target)
-        if not verdict.ok:
-            raise PreconditionError(
-                f"target #{t_index} is not MAT-labeled: {verdict.violation}")
     expected = glue(g1, g2)
     if (set(glued.vertices) != set(expected.vertices)
             or glued.labels != expected.labels):

@@ -1,4 +1,5 @@
-"""File formats (mat-graph/v1, vine/v1, vine-forests/v1) and DOT export."""
+"""File formats (mat-graph/v1, vine/v1, vine-forests/v1), embedding maps
+and DOT export; every file the package reads or writes goes through here."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .enumeration import EnumerationReport, representative_name
 from .errors import GraphInputError, PosetInputError
 from .labeled_graph import LabeledGraph
 from .vine_poset import ForestSequence, VinePoset, natural_key
@@ -134,6 +136,20 @@ def load_structure(path: str | Path) -> LabeledGraph | VinePoset | ForestSequenc
     raise GraphInputError(f"{p}: unknown or missing format field {fmt!r}")
 
 
+def _write(path: str | Path, text: str | None = None) -> None:
+    """The one writer: ``text`` into the file ``path``, or with no text the
+    directory ``path``; an unwritable path is an input error, as an
+    unreadable one is."""
+    p = Path(path)
+    try:
+        if text is None:
+            p.mkdir(parents=True, exist_ok=True)
+        else:
+            p.write_text(text)
+    except OSError as exc:
+        raise GraphInputError(f"cannot write {p}: {exc}") from exc
+
+
 def save_structure(obj: LabeledGraph | VinePoset | ForestSequence,
                    path: str | Path) -> None:
     if isinstance(obj, LabeledGraph):
@@ -142,7 +158,25 @@ def save_structure(obj: LabeledGraph | VinePoset | ForestSequence,
         doc = vine_to_json(obj)
     else:
         doc = forests_to_json(obj)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write(path, json.dumps(doc, indent=2) + "\n")
+
+
+def save_representatives(report: EnumerationReport, directory: str | Path) -> None:
+    """One file per class, named by :func:`representative_name`."""
+    _write(directory)
+    for key, rep in zip(report.keys, report.representatives):
+        name = representative_name(report.dimension, key)
+        save_structure(rep, Path(directory) / f"{name}.json")
+
+
+def save_map(mapping: dict[str, str], path: str | Path) -> None:
+    """An embedding map, as ``{"map": {"nodeId": "nodeId", ...}}``."""
+    _write(path, json.dumps({"map": mapping}, indent=2, sort_keys=True) + "\n")
+
+
+def save_dot(obj: LabeledGraph | VinePoset, path: str | Path) -> None:
+    _write(path, graph_to_dot(obj) if isinstance(obj, LabeledGraph)
+           else vine_to_dot(obj))
 
 
 def _quote(s: str) -> str:

@@ -131,9 +131,6 @@ class LabeledGraph:
             out.setdefault(k, []).append(e)
         return {k: tuple(v) for k, v in out.items()}
 
-    def underlying(self) -> Graph:
-        return Graph(self.vertices, self.edges)
-
     def is_complete(self) -> bool:
         n = len(self.vertices)
         return len(self.edges) == n * (n - 1) // 2

@@ -28,7 +28,7 @@ def _pass(num, text):
 
 @pytest.fixture(scope="session")
 def reports_by_dim():
-    return {dim: enumerate_mat_labelings_complete(dim, with_representatives=True)
+    return {dim: enumerate_mat_labelings_complete(dim)
             for dim in range(1, 7)}
 
 

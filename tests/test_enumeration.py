@@ -135,7 +135,7 @@ class TestCanonicalForm:
     def test_equality_iff_isomorphism_on_small_classes(self):
         reps = []
         for dim in range(2, 6):
-            report = enumerate_mat_labelings_complete(dim, with_representatives=True)
+            report = enumerate_mat_labelings_complete(dim)
             reps.extend(report.representatives)
         for a in reps:
             for b in reps:
@@ -145,7 +145,7 @@ class TestCanonicalForm:
     def test_random_permuted_pairs_match(self):
         rng = random.Random(77)
         for dim in (6, 7):
-            report = enumerate_mat_labelings_complete(dim, with_representatives=True)
+            report = enumerate_mat_labelings_complete(dim)
             reps = report.representatives
             for _ in range(5000):
                 g = rng.choice(reps)
@@ -177,7 +177,7 @@ class TestCanonicalKey:
 
     def test_matches_the_reference_on_relabeled_representatives(self):
         rng = random.Random(560)
-        report = enumerate_mat_labelings_complete(7, with_representatives=True)
+        report = enumerate_mat_labelings_complete(7)
         for key, rep in zip(report.keys, report.representatives):
             n, _, lab = shuffled_copy(rep, rng)._bit_form()
             assert enumeration._canonical_key(n, lab) == key == \
@@ -347,24 +347,23 @@ class TestEnumerate:
             assert report.formula_count == expected
 
     def test_representatives_validate(self):
-        report = enumerate_mat_labelings_complete(5, with_representatives=True)
+        report = enumerate_mat_labelings_complete(5)
         assert len(report.representatives) == 6
         for rep in report.representatives:
             assert rep.is_complete()
             assert check_mat_labeling(rep).ok
 
     def test_representatives_are_pairwise_non_isomorphic(self):
-        report = enumerate_mat_labelings_complete(5, with_representatives=True)
+        report = enumerate_mat_labelings_complete(5)
         forms = {canonical_form(rep) for rep in report.representatives}
         assert len(forms) == len(report.representatives)
 
     def test_deterministic_across_runs_and_jobs(self):
-        first = enumerate_mat_labelings_complete(5, with_representatives=True)
-        second = enumerate_mat_labelings_complete(5, with_representatives=True)
+        first = enumerate_mat_labelings_complete(5)
+        second = enumerate_mat_labelings_complete(5)
         assert [g.labels for g in first.representatives] == \
             [g.labels for g in second.representatives]
-        parallel = enumerate_mat_labelings_complete(5, with_representatives=True,
-                                                    jobs=2)
+        parallel = enumerate_mat_labelings_complete(5, jobs=2)
         assert [g.labels for g in parallel.representatives] == \
             [g.labels for g in first.representatives]
 
@@ -374,8 +373,21 @@ class TestEnumerate:
         with pytest.raises(GraphInputError):
             enumerate_mat_labelings_complete(0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_refused(self, jobs):
+        with pytest.raises(GraphInputError, match="jobs must be at least 1"):
+            enumerate_mat_labelings_complete(3, jobs=jobs)
+
+    def test_keys_ascend_and_give_the_representatives(self):
+        for dim in range(1, 7):
+            report = enumerate_mat_labelings_complete(dim)
+            assert list(report.keys) == sorted(report.keys)
+            assert len(report.keys) == report.class_count
+            assert report.representatives == tuple(
+                representative_graph(dim, key) for key in report.keys)
+
     def test_representative_reconstruction(self):
-        report = enumerate_mat_labelings_complete(4, with_representatives=True)
+        report = enumerate_mat_labelings_complete(4)
         for rep in report.representatives:
             from matvines.enumeration import _canonical_key
             n, _, lab = rep._bit_form()

@@ -452,14 +452,10 @@ class TestCheckPushout:
         g1 = LabeledGraph.build(["a", "b"], [("a", "b", 1)])
         g2 = LabeledGraph.build(["b", "c"], [("b", "c", 1)])
         overlap = LabeledGraph.build(["b"], [])
-        glued = glue(g1, g2)
-        k3 = extend_to_complete(glued)
-        assert check_pushout(g1, g2, overlap, glued, targets=[k3]).ok
+        assert check_pushout(g1, g2, overlap, glue(g1, g2)).ok
 
     def test_trivial_square(self, d4_graph):
-        verdict = check_pushout(d4_graph, d4_graph, d4_graph, d4_graph,
-                                targets=[d4_graph])
-        assert verdict.ok
+        assert check_pushout(d4_graph, d4_graph, d4_graph, d4_graph).ok
 
     def test_wrong_glued_graph_fails_commutation(self):
         g1 = LabeledGraph.build(["a", "b"], [("a", "b", 1)])
@@ -486,7 +482,7 @@ class TestCheckPushout:
                 continue
             glued = glued if rng.random() < 0.8 else g
             targets = rng.sample(graphs, 2) + [extend_to_complete(g)]
-            verdict = check_pushout(g1, g2, overlap, glued, targets)
+            verdict = check_pushout(g1, g2, overlap, glued)
             assert verdict == reference_check_pushout(g1, g2, overlap, glued, targets)
             tags.append(verdict.violation.tag if verdict.violation else "ok")
         assert "Commutation" in tags and tags.count("ok") > 30
@@ -495,16 +491,7 @@ class TestCheckPushout:
         g1 = d4_graph.restrict(["v1", "v2", "v3"])
         g2 = d4_graph.restrict(["v2", "v3", "v4"])
         overlap = d4_graph.restrict(["v2", "v3"])
-        verdict = check_pushout(g1, g2, overlap, glue(g1, g2),
-                                targets=[d4_graph, g1])
-        assert verdict.ok
-
-    def test_non_mat_target_is_refused(self, d4_graph):
-        bad = LabeledGraph.build(["x", "y", "z"],
-                                 [("x", "y", 1), ("y", "z", 1), ("x", "z", 1)])
-        with pytest.raises(PreconditionError, match="target #1 is not MAT-labeled"):
-            check_pushout(d4_graph, d4_graph, d4_graph, d4_graph,
-                          targets=[d4_graph, bad])
+        assert check_pushout(g1, g2, overlap, glue(g1, g2)).ok
 
     def test_homomorphism_enumeration_is_label_preserving(self, d4_graph):
         single = LabeledGraph.build(["x", "y"], [("x", "y", 2)])

@@ -456,3 +456,82 @@ class TestMalformedInput:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: "), argv
         assert not out.exists()
+
+
+def writing_commands(graph, vine, out, dot, map_out, reps):
+    """Every command that writes, each output flag with a path that works."""
+    return {
+        "convert_psi": ["convert", "--psi", graph, "--out", out, "--dot", dot],
+        "convert_omega": ["convert", "--omega", vine, "--out", out, "--dot", dot],
+        "truncate": ["truncate", vine, "--k", "2", "--direction", "lower",
+                     "--out", out, "--dot", dot],
+        "marginalize": ["marginalize", vine, "--node", "v1", "--out", out],
+        "embed": ["embed", vine, "--out", out, "--map-out", map_out],
+        "glue": ["glue", graph, graph, "--out", out],
+        "merge": ["merge", graph, graph, "--out", out],
+        "extend": ["extend", graph, "--out", out, "--dot", dot],
+        "enumerate": ["enumerate", "4", "--emit-representatives", reps],
+    }
+
+
+WRITE_FAILURES = [
+    (name, flag, kind)
+    for name, argv in writing_commands("g", "v", "o", "d", "m", "r").items()
+    for flag in argv if flag.startswith(("--out", "--dot", "--map-out", "--emit"))
+    for kind in (("file_as_directory", "under_a_file") if flag.startswith("--emit")
+                 else ("under_a_missing_directory", "directory_as_file"))]
+
+
+class TestUnwritableOutput:
+    @pytest.fixture
+    def inputs(self, tmp_path, d4_graph):
+        graph, vine = tmp_path / "g.json", tmp_path / "v.json"
+        mio.save_structure(d4_graph, graph)
+        mio.save_structure(psi(d4_graph), vine)
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_directory").mkdir()
+        good = tmp_path / "good"
+        return writing_commands(str(graph), str(vine), str(good / "o.json"),
+                                str(good / "o.dot"), str(good / "map.json"),
+                                str(good / "reps"))
+
+    def test_every_command_writes_with_good_paths(self, capsys, tmp_path, inputs):
+        (tmp_path / "good").mkdir()
+        for argv in inputs.values():
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+
+    @pytest.mark.parametrize("name, flag, kind", WRITE_FAILURES)
+    def test_each_unwritable_path_exits_two(self, capsys, tmp_path, inputs,
+                                            name, flag, kind):
+        (tmp_path / "good").mkdir()
+        bad = {"under_a_missing_directory": tmp_path / "missing" / "x",
+               "directory_as_file": tmp_path / "a_directory",
+               "file_as_directory": tmp_path / "a_file",
+               "under_a_file": tmp_path / "a_file" / "sub"}[kind]
+        argv = list(inputs[name])
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: cannot write "), captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestArgumentConflicts:
+    @pytest.mark.parametrize("extra", [["--kind", "d_vine", "--dim", "3"],
+                                       ["--dim", "3"], ["--kind", "d_vine"]])
+    def test_count_ideals_refuses_ignored_arguments(self, capsys, tmp_path, extra):
+        path = tmp_path / "v.json"
+        mio.save_structure(c_vine(3), path)
+        assert main(["count-ideals", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["count-ideals"], ["count-ideals", "--dim", "3"],
+                                      ["enumerate", "5", "--jobs", "0"],
+                                      ["enumerate", "5", "--jobs", "-3"]])
+    def test_refused_with_exit_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")

@@ -822,7 +822,7 @@ class TestStructuralFacts:
     def test_largest_label_endpoints_are_simplicial_in_complete_graphs(self):
         from matvines import enumerate_mat_labelings_complete
         for dim in range(2, 6):
-            report = enumerate_mat_labelings_complete(dim, with_representatives=True)
+            report = enumerate_mat_labelings_complete(dim)
             for rep in report.representatives:
                 top = max(rep.edge_labels)
                 (u, v), = [e for e, k in rep.labels.items() if k == top]

@@ -321,9 +321,8 @@ class TestJoinAndPaths:
         # the path tower and omega's joins are independent routes to the
         # edges of a vine's graph
         rng = random.Random(29)
-        vines = [psi(g) for d in range(1, 7) for g in
-                 enumerate_mat_labelings_complete(d, with_representatives=True)
-                 .representatives]
+        vines = [psi(g) for d in range(1, 7)
+                 for g in enumerate_mat_labelings_complete(d).representatives]
         vines += [psi(random_mat_labeled_graph(rng, rng.randint(1, 10)))
                   for _ in range(300)]
         vines += with_lower_truncations(
