@@ -122,16 +122,15 @@ def mat_simplicial_violation(n: int, adj: list[int], lab: list[list[int]],
     return None
 
 
-def eliminate(n: int, admissible) -> tuple[list[int], int]:
-    """Greedy peeling: remove the lowest alive vertex ``v`` for which
-    ``admissible(v, alive)`` holds, over and over.
+def eliminate(alive: int, admissible) -> tuple[list[int], int]:
+    """Greedy peeling of the vertex mask ``alive``: remove the lowest alive
+    vertex ``v`` for which ``admissible(v, alive)`` holds, over and over.
 
     Returns the removal order and the residual, the mask of the vertices
     still alive when none is admissible (0 when every vertex went).  For a
     hereditary property under which every graph has an admissible vertex,
     the residual is 0 exactly on the graphs with the property.
     """
-    alive = (1 << n) - 1
     order = []
     while alive:
         for v in iter_bits(alive):
@@ -144,11 +143,29 @@ def eliminate(n: int, admissible) -> tuple[list[int], int]:
     return order, alive
 
 
+def minimal_residual(alive: int, admissible) -> int:
+    """A minimal vertex set inside ``alive`` whose peeling gets stuck.
+
+    ``alive`` must leave a non-zero :func:`eliminate` residual.  One pass
+    tries each vertex: when the set without it still gets stuck, its
+    residual becomes the set.  For a hereditary property, a set that does
+    not get stuck has no subset that does, so a vertex kept once stays
+    necessary as the set shrinks.
+    """
+    for v in iter_bits(alive):
+        if alive >> v & 1:
+            residual = eliminate(alive & ~(1 << v), admissible)[1]
+            if residual:
+                alive = residual
+    return alive
+
+
 def find_mat_peo(n: int, adj: list[int], lab: list[list[int]]) -> list[int] | None:
     """Elimination ordering; each prefix ends in a MAT-simplicial vertex.
     Removing one preserves the labeling property, so greedy peeling decides."""
     order, residual = eliminate(
-        n, lambda v, alive: mat_simplicial_violation(n, adj, lab, v, alive) is None)
+        (1 << n) - 1,
+        lambda v, alive: mat_simplicial_violation(n, adj, lab, v, alive) is None)
     return None if residual else order[::-1]
 
 
@@ -191,19 +208,20 @@ def is_chordal(n: int, adj: list[int]) -> bool:
     return True
 
 
-def induced_cycle(n: int, adj: list[int]) -> list[int] | None:
-    """Some chordless cycle of length >= 4, or None if the graph is chordal.
+def induced_cycle(adj: list[int], alive: int) -> list[int] | None:
+    """Some chordless cycle of length >= 4 in the subgraph induced by the
+    mask ``alive``, or None if that subgraph is chordal.
 
     For every vertex v with non-adjacent neighbours u, w, a shortest u-w
     path avoiding the rest of N[v] closes into a chordless cycle through v.
     """
-    for v in range(n):
-        nbl = list(iter_bits(adj[v]))
+    for v in iter_bits(alive):
+        nbl = list(iter_bits(adj[v] & alive))
         for u, w in combinations(nbl, 2):
             if (adj[u] >> w) & 1:
                 continue
             blocked = (adj[v] | (1 << v)) & ~(1 << u) & ~(1 << w)
-            allowed = [a & ~blocked for a in adj]
+            allowed = [a & alive & ~blocked for a in adj]
             path = shortest_path(allowed, u, w)
             if path is not None:
                 return [v] + path
@@ -250,44 +268,24 @@ def is_simple(adj: list[int], v: int, alive: int) -> bool:
 def is_strongly_chordal_fast(n: int, adj: list[int]) -> bool:
     """Greedy simple-vertex elimination: a graph is strongly chordal exactly
     when it has a simple elimination ordering, so when the residual is 0."""
-    return not eliminate(n, partial(is_simple, adj))[1]
+    return not eliminate((1 << n) - 1, partial(is_simple, adj))[1]
 
 
-def find_sun(n: int, adj: list[int]):
-    """Induced complete sun, as (inner cycle vertices, outer vertices).
+def find_sun(adj: list[int], alive: int):
+    """Induced complete sun, as (inner cycle vertices, outer vertices), in
+    the subgraph induced by the mask ``alive``, which must be chordal and
+    not strongly chordal.
 
     The outer tuple is aligned so outer[i] is adjacent to inner[i] and
-    inner[i+1] (cyclically).  Brute force over vertex subsets; only used to
-    extract witnesses after the fast decision procedure has said "no".
+    inner[i+1] (cyclically).  By Farber's theorem a minimal set without a
+    simple elimination ordering is then a sun, whose outer vertices are the
+    ones of degree 2.  None if the minimal set does not close into one.
     """
-    for s in range(3, n // 2 + 1):
-        for subset in combinations(range(n), 2 * s):
-            sub_mask = 0
-            for v in subset:
-                sub_mask |= 1 << v
-            for inner in combinations(subset, s):
-                inner_mask = 0
-                for v in inner:
-                    inner_mask |= 1 << v
-                if any(inner_mask & ~adj[v] & ~(1 << v) for v in inner):
-                    continue
-                outer = [v for v in subset if not (inner_mask >> v) & 1]
-                if any(adj[o1] >> o2 & 1 for o1, o2 in combinations(outer, 2)):
-                    continue
-                pairs = []
-                ok = True
-                for o in outer:
-                    nb = adj[o] & sub_mask
-                    if nb.bit_count() != 2 or nb & ~inner_mask:
-                        ok = False
-                        break
-                    pairs.append((o, nb))
-                if not ok:
-                    continue
-                arrangement = _close_sun_cycle(inner, pairs)
-                if arrangement is not None:
-                    return arrangement
-    return None
+    sun = minimal_residual(alive, partial(is_simple, adj))
+    nbs = {v: adj[v] & sun for v in iter_bits(sun)}
+    inner = [v for v, nb in nbs.items() if nb.bit_count() != 2]
+    pairs = [(v, nb) for v, nb in nbs.items() if nb.bit_count() == 2]
+    return _close_sun_cycle(inner, pairs)
 
 
 def _close_sun_cycle(inner, pairs):

@@ -271,25 +271,23 @@ def is_strongly_chordal(g: Graph | LabeledGraph) -> Verdict:
 
     The decision runs by greedy simple-vertex elimination.  The vertices it
     cannot remove induce a subgraph without a simple vertex, which by
-    Farber's theorem holds a chordless cycle or a sun; the witness is
-    searched for there only, and is induced in ``g`` as well.
+    Farber's theorem holds a chordless cycle or a sun.  A chordless cycle is
+    searched for there first; when there is none, deleting vertices from
+    the residual leaves a sun.  Either witness is induced in ``g`` as well.
     """
     n, adj = g._bit_form()[:2]
-    residual = _bits.eliminate(n, partial(_bits.is_simple, adj))[1]
+    residual = _bits.eliminate((1 << n) - 1, partial(_bits.is_simple, adj))[1]
     if not residual:
         return Verdict.passed()
-    keep = list(_bits.iter_bits(residual))
-    sub = [sum(1 << i for i, u in enumerate(keep) if adj[v] >> u & 1) for v in keep]
-    names = [g.vertices[v] for v in keep]
-    cycle = _bits.induced_cycle(len(keep), sub)
+    cycle = _bits.induced_cycle(adj, residual)
     if cycle is not None:
-        cycle = tuple(names[i] for i in cycle)
+        cycle = tuple(g.vertices[i] for i in cycle)
         return Verdict.failed("NotChordal", subject=cycle, cycle=cycle)
-    sun = _bits.find_sun(len(keep), sub)
+    sun = _bits.find_sun(adj, residual)
     if sun is None:
         raise InternalDefectError("no simple vertex left, yet chordal and sun-free")
     inner, outer = sun
-    return Verdict.failed("SunFound", subject=tuple(names[i] for i in inner + outer),
+    return Verdict.failed("SunFound", subject=tuple(g.vertices[i] for i in inner + outer),
                           message=f"induced {len(inner)}-sun")
 
 

@@ -395,20 +395,38 @@ class TestStronglyChordal:
         assert len(verdict.violation.subject) == 6
 
     def test_relabeled_suns_give_aligned_witnesses(self):
+        # shuffled bare k-suns, then 3- to 8-suns joined by one edge to a
+        # random chordal graph of 2-12 vertices, shuffled together
         rng = random.Random(37)
-        for k in (3, 4, 5):
+
+        def shuffled(n, edges):
+            perm = rng.sample(range(n), n)
+            adj = [0] * n
+            for a, b in edges:
+                adj[perm[a]] |= 1 << perm[b]
+                adj[perm[b]] |= 1 << perm[a]
+            return perm, adj
+
+        def sun_edges(k):
+            edges = list(combinations(range(k), 2))
+            return edges + [(k + i, j) for i in range(k) for j in (i, (i + 1) % k)]
+
+        for k in (3, 4, 5, 8, 15):
             for _ in range(10):
-                perm = rng.sample(range(2 * k), 2 * k)
-                adj = [0] * (2 * k)
-                edges = list(combinations(range(k), 2))
-                edges += [(k + i, j) for i in range(k) for j in (i, (i + 1) % k)]
-                for a, b in edges:
-                    adj[perm[a]] |= 1 << perm[b]
-                    adj[perm[b]] |= 1 << perm[a]
-                inner, outer = bits.find_sun(2 * k, adj)
+                perm, adj = shuffled(2 * k, sun_edges(k))
+                inner, outer = bits.find_sun(adj, (1 << 2 * k) - 1)
                 assert sorted(inner) == sorted(perm[:k])
                 for i, o in enumerate(outer):
                     assert adj[o] == 1 << inner[i] | 1 << inner[(i + 1) % k]
+        for _ in range(200):
+            k, m = rng.randint(3, 8), rng.randint(2, 12)
+            piece = random_chordal_graph(rng, m)._bit_form()[1]
+            edges = sun_edges(k) + [(2 * k + a, 2 * k + b) for a in range(m)
+                                    for b in bits.iter_bits(piece[a]) if a < b]
+            edges.append((rng.randrange(2 * k), 2 * k + rng.randrange(m)))
+            _, adj = shuffled(2 * k + m, edges)
+            inner, outer = bits.find_sun(adj, (1 << 2 * k + m) - 1)
+            assert induced_sun(adj, list(inner), list(outer))
 
     def test_pairs_on_two_cycles_close_no_sun(self):
         # six outer vertices over two inner triangles 0-1-2 and 3-4-5
@@ -451,7 +469,7 @@ class TestStronglyChordal:
                 g = Graph.build(names, [e for e in combinations(names, 2)
                                         if rng.random() < density])
             n, adj = g._bit_form()
-            residual = bits.eliminate(n, partial(bits.is_simple, adj))[1]
+            residual = bits.eliminate((1 << n) - 1, partial(bits.is_simple, adj))[1]
             assert (residual == 0) == brute_force_strongly_chordal(n, adj)
             assert not any(bits.is_simple(adj, v, residual)
                            for v in bits.iter_bits(residual))
@@ -464,17 +482,25 @@ class TestStronglyChordal:
             seen[tag] += 1
             witness = [g.vertices.index(v) for v in subject]
             assert all(residual >> v & 1 for v in witness)
+            assert (tag == "NotChordal") == (not bits.is_chordal(n, adj))
             if tag == "NotChordal":
                 assert induced_chordless_cycle(adj, witness)
             else:
                 k = len(witness) // 2
                 assert induced_sun(adj, witness[:k], witness[k:])
+            # minimal: without any one of its vertices it is strongly chordal
+            for v in witness:
+                rest = [u for u in witness if u != v]
+                sub = [sum(1 << i for i, u in enumerate(rest) if adj[w] >> u & 1)
+                       for w in rest]
+                assert brute_force_strongly_chordal(len(rest), sub)
         assert min(seen.values()) > 0, seen
 
     def test_suns_beside_long_paths_are_found_fast(self):
-        # the witness search runs on the residual, so the path does not
-        # enter it; the whole 16-18 vertices take seconds to search
-        for k, m in ((5, 8), (6, 4)):
+        # the path is peeled before the witness search, which deletes
+        # vertices from the residual one at a time instead of searching its
+        # vertex subsets
+        for k, m in ((5, 8), (6, 4), (8, 4), (15, 4)):
             inner = [f"u{i}" for i in range(k)]
             outer = [f"w{i}" for i in range(k)]
             path = [f"p{i}" for i in range(m)]
