@@ -49,11 +49,13 @@ def _load_vine(path: str) -> VinePoset:
     return obj
 
 
-def _save(result: LabeledGraph | VinePoset, args) -> None:
-    """Write ``--out`` and, where the command has the flag, ``--dot``."""
-    io.save_structure(result, args.out)
+def _save(result: LabeledGraph | VinePoset, args, extra=()) -> None:
+    """Write ``--out``, ``--dot`` where the command has the flag, and the
+    ``extra`` (save, obj, path) outputs: all of them or, on an error, none."""
+    saves = [(io.save_structure, result, args.out), *extra]
     if getattr(args, "dot", None):
-        io.save_dot(result, args.dot)
+        saves.append((io.save_dot, result, args.dot))
+    io.save_together(saves)
 
 
 def _save_graph(out: LabeledGraph, args) -> int:
@@ -162,11 +164,10 @@ def cmd_sampling_order(args) -> int:
 def cmd_embed(args) -> int:
     p = _load_vine(args.path)
     target, morphism = functors.embed_in_r_vine(p)
-    _save(target, args)
     doc = {"out": args.out, "target_nodes": len(target.nodes),
            "map": dict(sorted(morphism.mapping.items()))}
-    if args.map_out:
-        io.save_map(doc["map"], args.map_out)
+    _save(target, args, [(io.save_map, doc["map"], args.map_out)]
+          if args.map_out else ())
     _emit(doc)
     return EXIT_OK
 

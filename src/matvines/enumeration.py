@@ -7,13 +7,14 @@ from __future__ import annotations
 import logging
 import os
 import random
+import sys
 import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import _bits
@@ -571,47 +572,51 @@ class AgreementReport:
                 "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
-# 8! edge permutations of 28-bit masks do not fit the orbit tables; n=8
-# needs isomorph-free generation instead of a sweep over masks.
+# The packed tables hold n! images per entry: at n=8 that is 4 byte-tables
+# x 256 ints x 40,320 images x 4 bytes, about 165 MB, so n=8 needs
+# isomorph-free generation instead of a sweep over masks.
 AGREEMENT_VERTEX_BOUND = 7
 
 
-def _orbit_tables(n: int, pairs: list[tuple[int, int]]) -> list[list[array]]:
-    """Images of edge masks under every vertex permutation, byte by byte.
-
-    ``tables[b][v][p]`` is the image of the mask ``v << 8*b`` under the
-    p-th permutation, so the images of a whole mask are the bitwise or of
-    one array per byte of it.
+def _orbit_tables(n: int, pairs: list[tuple[int, int]]) -> tuple:
+    """``(tables, code, size)``: ``tables[b][v]`` packs the images of the
+    mask ``v << 8*b`` under the n! vertex permutations into one integer of
+    ``size`` bytes, whose p-th field, read as an ``array(code)`` in native
+    byte order, is the image under the p-th permutation.  An or never
+    carries between fields, so the images of a whole mask are the bitwise
+    or of one integer per byte of it.
     """
     index = {}
     for e, (i, j) in enumerate(pairs):
         index[i, j] = index[j, i] = e
     perms = list(permutations(range(n)))
     m = len(pairs)
+    code = "H" if m <= 16 else "I"
     tables = []
     for low in range(0, max(m, 1), 8):
-        table = [array("I", bytes(4 * len(perms)))]
+        table = [0]
         for e in range(low, min(low + 8, m)):
             i, j = pairs[e]
-            bit = array("I", [1 << index[p[i], p[j]] for p in perms])
+            images = array(code, [1 << index[p[i], p[j]] for p in perms])
+            bit = int.from_bytes(images.tobytes(), sys.byteorder)
             # entries 2^k .. 2^(k+1)-1 are entries 0 .. 2^k-1 plus bit k
-            table += [array("I", map(or_, t, bit)) for t in table]
+            table += [t | bit for t in table]
         tables.append(table)
-    return tables
+    return tables, code, array(code).itemsize * len(perms)
 
 
 def _isomorphism_classes(n: int, pairs: list[tuple[int, int]]
                          ) -> Iterator[tuple[int, set[int]]]:
     """Each isomorphism class of graphs on n labeled vertices, as its
     smallest edge mask and the set of masks in its orbit."""
-    tables = _orbit_tables(n, pairs)
+    tables, code, size = _orbit_tables(n, pairs)
     seen = bytearray(1 << len(pairs))
     rep = 0
     while rep != -1:
-        images = tables[0][rep & 255]
-        for b in range(1, len(tables)):
-            images = map(or_, images, tables[b][rep >> 8 * b & 255])
-        orbit = set(images)
+        packed = 0
+        for b, table in enumerate(tables):
+            packed |= table[rep >> 8 * b & 255]
+        orbit = set(array(code, packed.to_bytes(size, sys.byteorder)))
         for mask in orbit:
             seen[mask] = 1
         yield rep, orbit
@@ -636,13 +641,13 @@ def mat_sc_agreement(n: int) -> AgreementReport:
 
     Both properties are invariant under relabeling the vertices, so each
     isomorphism class is decided once, on its smallest edge mask, and its
-    answer counts for every mask in its orbit.  Orbits come from tables of
-    the edge permutations induced by all n! vertex permutations; the orbit
-    sizes must sum to exactly 2^m over the m vertex pairs, otherwise the
-    sweep raises :class:`InternalDefectError`.  ``discrepancies`` lists every
-    disagreeing labeled mask, whole orbits, in ascending order.  Every 5 %
-    of the masks the sweep logs the classes decided and the share of masks
-    covered to the ``matvines`` logger at INFO level.  Sweeps above
+    answer counts for every mask in its orbit, the bitwise or of one packed
+    integer of n! images per byte of the mask (``_orbit_tables``); the
+    orbit sizes must sum to exactly 2^m over the m vertex pairs, otherwise
+    the sweep raises :class:`InternalDefectError`.  ``discrepancies`` lists
+    every disagreeing labeled mask, whole orbits, in ascending order.
+    Every 5 % of the masks the sweep logs the classes decided and the share
+    of masks covered to the ``matvines`` logger at INFO level.  Sweeps above
     ``AGREEMENT_VERTEX_BOUND`` vertices are refused.
     """
     if n < 0:

@@ -4,8 +4,9 @@ and DOT export; every file the package reads or writes goes through here."""
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .enumeration import EnumerationReport, representative_name
 from .errors import GraphInputError, PosetInputError
@@ -148,6 +149,37 @@ def _write(path: str | Path, text: str | None = None) -> None:
             p.write_text(text)
     except OSError as exc:
         raise GraphInputError(f"cannot write {p}: {exc}") from exc
+
+
+def save_together(saves: list[tuple[Callable, Any, str]]) -> None:
+    """Run each ``save(obj, path)`` of one command so that its files appear
+    together or not at all: every save writes a temporary sibling of its
+    path, and the temporaries replace the paths only once all of them are
+    written.  A save that fails deletes the temporaries and leaves every
+    path as it was."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for k, (save, obj, path) in enumerate(saves):
+            p = Path(path)
+            if p.is_dir():
+                raise GraphInputError(f"cannot write {p}: it is a directory")
+            tmp = p.with_name(f".{p.name}.{os.getpid()}.{k}.tmp")
+            staged.append((tmp, p))
+            try:
+                save(obj, tmp)
+            except GraphInputError as exc:
+                # name the path the caller asked for, not the temporary
+                message = str(exc).replace(str(tmp), str(p))
+                raise GraphInputError(message) from exc
+        for tmp, p in staged:
+            try:
+                os.replace(tmp, p)
+            except OSError as exc:
+                raise GraphInputError(f"cannot write {p}: {exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            if tmp.exists():
+                tmp.unlink()
 
 
 def save_structure(obj: LabeledGraph | VinePoset | ForestSequence,

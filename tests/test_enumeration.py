@@ -730,6 +730,23 @@ def per_mask_agreement(n):
     return total, sc_count, mat_count, tuple(bad)
 
 
+def reference_isomorphism_classes(n, pairs):
+    """Reference orbit listing: the smallest mask not yet seen starts a
+    class, and its orbit applies every vertex permutation to each of its
+    edge bits."""
+    index = {pair: e for e, pair in enumerate(pairs)}
+    edge_maps = [[index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+                 for p in permutations(range(n))]
+    seen = set()
+    for rep in range(1 << len(pairs)):
+        if rep in seen:
+            continue
+        bits = [e for e in range(len(pairs)) if rep >> e & 1]
+        orbit = {sum(1 << image[e] for e in bits) for image in edge_maps}
+        seen |= orbit
+        yield rep, orbit
+
+
 class TestRandomGraphs:
     def test_zero_vertices_give_the_empty_graph(self):
         rng = random.Random(3)
@@ -767,9 +784,15 @@ class TestAgreementDriver:
 
     def test_class_counts(self):
         # OEIS A000088: graphs on n unlabeled vertices
-        assert [mat_sc_agreement(n).class_count for n in range(1, 8)] == \
-            [1, 2, 4, 11, 34, 156, 1044]
+        assert [mat_sc_agreement(n).class_count for n in range(0, 8)] == \
+            [1, 1, 2, 4, 11, 34, 156, 1044]
         assert mat_sc_agreement(4).to_json()["classes"] == 11
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_orbit_listing_matches_reference(self, n):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert list(enumeration._isomorphism_classes(n, pairs)) == \
+            list(reference_isomorphism_classes(n, pairs))
 
     def test_discrepancy_lists_the_whole_orbit(self, monkeypatch):
         # make the labeling search fail on the class of two edges sharing a

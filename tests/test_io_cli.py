@@ -511,11 +511,14 @@ class TestUnwritableOutput:
                "under_a_file": tmp_path / "a_file" / "sub"}[kind]
         argv = list(inputs[name])
         argv[argv.index(flag) + 1] = str(bad)
+        before = set(tmp_path.rglob("*"))
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("error: cannot write "), captured.err
         assert "Traceback" not in captured.err
+        # the other output of a two-output command is not left behind
+        assert set(tmp_path.rglob("*")) == before, argv
 
 
 class TestArgumentConflicts:
