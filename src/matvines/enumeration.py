@@ -10,11 +10,9 @@ import random
 import sys
 import time
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import _bits
@@ -247,9 +245,10 @@ def catalan(n: int) -> int:
 def _tree_representatives(n: int) -> list[list[tuple[int, int]]]:
     """One spanning tree per isomorphism class, on vertices 0..n-1.
 
-    The trees on k vertices are those on k-1 with a leaf k-1 attached to
-    each vertex in turn; a grown tree is kept when its centre-rooted AHU
-    code (Aho, Hopcroft, Ullman 1974) is new.
+    The tests' reference route for the enumeration starts here.  The trees
+    on k vertices are those on k-1 with a leaf k-1 attached to each vertex
+    in turn; a grown tree is kept when its centre-rooted AHU code (Aho,
+    Hopcroft, Ullman 1974) is new.
     """
     trees: list[list[tuple[int, int]]] = [[]]
     for k in range(2, n + 1):
@@ -322,7 +321,8 @@ def _spanning_trees(num_nodes: int, edges: list[tuple[int, int]]):
 def _towers_over_tree(dimension: int, t1_edges: list[tuple[int, int]]):
     """All proximity-respecting tree towers above a fixed bottom tree.
 
-    Yields the finished labeling as a dict {2-bit vertex mask: label}.
+    Yields the finished labeling as a dict {2-bit vertex mask: label}; the
+    tests list every tower with it, as the enumeration's reference route.
     """
     labels: dict[int, int] = {}
     u_masks = []
@@ -363,122 +363,63 @@ def _towers_over_tree(dimension: int, t1_edges: list[tuple[int, int]]):
     yield from descend(tuple(u_masks), u_masks, 2)
 
 
-def _tree_automorphisms(n: int, edges: list[tuple[int, int]]
-                        ) -> list[tuple[int, ...]]:
-    """Every automorphism of a tree on vertices 0..n-1, as the tuple of
-    vertex images.
-
-    The vertices are placed in breadth-first order: each goes to an unused
-    neighbour of its parent's image with the same degree.  A bijection that
-    keeps every parent edge an edge maps the n-1 edges onto the n-1 edges,
-    so every full assignment is an automorphism.
-    """
-    adj = _adjacency_lists(n, edges)
-    degree = list(map(len, adj))
-    order, parent = _rooted(adj, 0)
-
-    def options(v: int, assigned: dict[int, int]) -> list[int]:
-        pool = adj[assigned[parent[v]]] if v != order[0] else range(n)
-        return [c for c in pool if degree[c] == degree[v]]
-
-    return [tuple(map(image.__getitem__, range(n)))
-            for image in _assignments(order, options)]
-
-
-def _degree_sequence(edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    degree = Counter(v for edge in edges for v in edge)
-    return tuple(sorted(degree.values(), reverse=True))
+def _extensions(n: int, lab: list[list[int]]) -> Iterator[list[list[int]]]:
+    """The 2^(n-1) label matrices of K_{n+1} that add the vertex n to the
+    labeling ``lab`` of K_n (n >= 1).  The new vertex's labels follow a
+    chain of the vine down from its top node: the node of rank r >= 2 is
+    the principal clique (a vertex mask) of one edge, whose end that leaves
+    for the node below gets the label r, and the vertex of the minimal node
+    at the bottom gets the label 1."""
+    edge_of = {}
+    for a, b in combinations(range(n), 2):
+        below = [w for w in range(n) if lab[w][a] < lab[a][b] > lab[w][b]]
+        edge_of[sum(1 << w for w in [a, b, *below])] = (a, b)
+    for ends in range(1 << n - 1):
+        new = [0] * n
+        mask = (1 << n) - 1
+        for r in range(n, 1, -1):
+            if mask not in edge_of:
+                raise InternalDefectError(
+                    f"no edge of K{n} has the principal clique {mask:#b}")
+            v = edge_of[mask][ends >> r - 2 & 1]
+            new[v] = r
+            mask ^= 1 << v
+        new[mask.bit_length() - 1] = 1
+        yield [row + [x] for row, x in zip(lab, new)] + [new + [0]]
 
 
-def _classes_over_tree(dimension: int, t1: list[tuple[int, int]]
-                       ) -> tuple[set[tuple[int, ...]], int, int, float, float]:
-    """Canonical keys of the towers over one bottom tree that is not the
-    star, with the number of towers generated, the number of orbit keys,
-    and the seconds taken by tower generation with the orbit minima and by
-    the canonical keys.
-
-    Two towers over T1 are isomorphic exactly when an automorphism of T1
-    maps one onto the other, so each tower is reduced to its orbit key, the
-    least lower-triangle vector over Aut(T1), and ``_canonical_key`` runs
-    once per orbit.
-    """
-    start = time.perf_counter()
-    pairs = [(p, q) for p in range(dimension) for q in range(p)]
-    # moves[s](labels) is the lower-triangle vector of the tower relabeled
-    # by the automorphism s; the identity is among them
-    moves = [itemgetter(*[(1 << s[p]) | (1 << s[q]) for p, q in pairs])
-             for s in _tree_automorphisms(dimension, t1)]
-    orbits: set[tuple[int, ...]] = set()
-    towers = 0
-    for labels in _towers_over_tree(dimension, t1):
-        towers += 1
-        orbits.add(min([move(labels) for move in moves]))
-    middle = time.perf_counter()
-    keys = {_canonical_key(dimension, _key_to_matrix(dimension, key))
-            for key in orbits}
-    return (keys, towers, len(orbits), middle - start,
-            time.perf_counter() - middle)
-
-
-def _star_classes(dimension: int) -> set[tuple[int, ...]]:
-    """Canonical keys of the towers over the star on ``dimension`` vertices,
-    lifted from the classes of dimension - 1.
-
-    Levels 2 and up of a vine over the star form a regular vine on its
-    leaves (upper truncation), and from dimension 3 on every isomorphism
-    between towers over the star fixes the centre, so each class of
-    dimension - 1 gives exactly one class: a centre joined to every leaf by
-    label 1, every other label raised by 1.
-    """
-    start = time.perf_counter()
-    keys = set()
-    for key in _enumerate_classes(dimension - 1):
-        inner = _key_to_matrix(dimension - 1, key)
-        lab = [[0] + [1] * (dimension - 1)]
-        lab += [[1] + [x + 1 if x else 0 for x in row] for row in inner]
-        keys.add(_canonical_key(dimension, lab))
-    logger.debug("enumerate d=%d, star: lifted %d classes from d=%d, %.3f s",
-                 dimension, len(keys), dimension - 1,
-                 time.perf_counter() - start)
-    return keys
+def _extension_keys(n: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The canonical key of each extension of the class ``key`` of K_n."""
+    return [_canonical_key(n + 1, child)
+            for child in _extensions(n, _key_to_matrix(n, key))]
 
 
 def _enumerate_classes(dimension: int, jobs: int = 1) -> set[tuple[int, ...]]:
     """Canonical keys of the labelings of the complete graph, one per class.
 
-    A label-preserving isomorphism maps the label-1 tree T1 onto T1, so
-    towers over different representative trees never share a class and the
-    key set is the disjoint union of the classes over each tree.  The star
-    takes its classes from dimension - 1 through ``_star_classes``; every
-    other tree goes through ``_classes_over_tree``, in a pool of at most
-    ``jobs`` processes (and no more than trees or cores) while the star runs
-    in this process.
-    Each tree logs its towers, orbit keys and classes, and the seconds of
-    each stage, to the ``matvines`` logger at DEBUG level.
+    Deleting an end of the top node's edge leaves a labeling of K_n, so the
+    classes of K_{n+1} are the keys of the extensions of those of K_n.  The
+    last step splits its parents over at most ``jobs`` processes (and no
+    more than parents or cores); each step logs its counts at DEBUG level.
     """
-    if dimension == 1:
-        return {()}  # the one-vertex graph has no pairs to label
-    others = [t1 for t1 in _tree_representatives(dimension)
-              if _degree_sequence(t1)[0] < dimension - 1]
-    workers = min(jobs, len(others), os.cpu_count() or 1)
-    if workers > 1:
-        # partitions are independent and set union is order-insensitive,
-        # so the result does not depend on scheduling
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_classes_over_tree,
-                             [dimension] * len(others), others)
-            keys = _star_classes(dimension)
-    else:
-        parts = map(_classes_over_tree, [dimension] * len(others), others)
-        keys = _star_classes(dimension)
-    for t1, (part, towers, orbits, tower_s, key_s) in zip(others, parts):
-        logger.debug("enumerate d=%d, tree with degrees %s: %d towers, "
-                     "%d orbit keys, %d classes, %.3f s (towers and orbit "
-                     "minima %.3f s, canonical keys %.3f s)", dimension,
-                     _degree_sequence(t1), towers, orbits, len(part),
-                     tower_s + key_s, tower_s, key_s)
-        keys |= part
+    keys: set[tuple[int, ...]] = {()}  # the one-vertex graph has no pairs
+    for n in range(1, dimension):
+        start = time.perf_counter()
+        parents = sorted(keys)
+        workers = min(jobs, len(parents), os.cpu_count() or 1)
+        if n == dimension - 1 and workers > 1:
+            # parents are independent and set union is order-insensitive,
+            # so the result does not depend on scheduling
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_extension_keys, [n] * len(parents),
+                                      parents))
+        else:
+            parts = [_extension_keys(n, key) for key in parents]
+        keys = set().union(*parts)
+        logger.debug("enumerate d=%d: %d parents, %d extensions, %d classes, "
+                     "%.3f s", n + 1, len(parents), sum(map(len, parts)),
+                     len(keys), time.perf_counter() - start)
     return keys
 
 
@@ -520,19 +461,15 @@ def enumerate_mat_labelings_complete(
         jobs: int = 1) -> EnumerationReport:
     """Count the valid labelings of the complete graph up to isomorphism.
 
-    The label-1 edges of a labeling form its bottom tree T1, and an
-    isomorphism maps T1 onto T1, so the classes are counted per bottom tree,
-    one tree per isomorphism class.  Over the star the classes are those of
-    dimension - 1, lifted (levels 2 and up form a regular vine on the
-    leaves).  Over every other tree the search builds the level trees
-    bottom-up under the proximity constraint and identifies two towers when
-    an automorphism of the tree maps one onto the other.  Each class gets
-    its canonical key once; the report holds the keys in ascending order,
-    and ``representatives`` builds one graph per key on first use.
-    ``jobs`` (at least 1) bounds the worker processes for the trees other
-    than the star.  Dimensions above ``DEFAULT_DIMENSION_BOUND`` are
-    refused unless ``allow_large`` is set; nothing is ever silently
-    truncated.
+    The classes grow one vertex at a time from the one-vertex graph: each
+    class on n vertices is extended by a vertex whose labels follow a chain
+    of its vine from the top node down to a minimal node, and the canonical
+    keys of the extensions are the classes on n + 1 vertices.  The report
+    holds the keys in ascending order, and ``representatives`` builds one
+    graph per key on first use.  ``jobs`` (at least 1) bounds the worker
+    processes for the last step.  Dimensions above
+    ``DEFAULT_DIMENSION_BOUND`` are refused unless ``allow_large`` is set;
+    nothing is ever silently truncated.
     """
     if dimension < 1:
         raise GraphInputError("dimension must be at least 1")

@@ -194,11 +194,13 @@ def save_structure(obj: LabeledGraph | VinePoset | ForestSequence,
 
 
 def save_representatives(report: EnumerationReport, directory: str | Path) -> None:
-    """One file per class, named by :func:`representative_name`."""
+    """One file per class, named by :func:`representative_name`, written
+    together by :func:`save_together`."""
     _write(directory)
-    for key, rep in zip(report.keys, report.representatives):
-        name = representative_name(report.dimension, key)
-        save_structure(rep, Path(directory) / f"{name}.json")
+    save_together([
+        (save_structure, rep,
+         Path(directory) / f"{representative_name(report.dimension, key)}.json")
+        for key, rep in zip(report.keys, report.representatives)])
 
 
 def save_map(mapping: dict[str, str], path: str | Path) -> None:

@@ -2,6 +2,7 @@
 formulas."""
 
 import concurrent.futures
+import hashlib
 import logging
 import os
 import random
@@ -9,7 +10,6 @@ import re
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
 
 import pytest
 
@@ -459,10 +459,6 @@ def reference_towers_over_tree(dimension, t1_edges):
     yield from descend(child_masks, u_masks, 2)
 
 
-def star(dimension):
-    return [(0, i) for i in range(1, dimension)]
-
-
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count it is
     asked for and runs the work in this process, starting none."""
@@ -500,26 +496,30 @@ class TestEnumerationDriver:
             assert list(enumeration._towers_over_tree(dim, t1)) == \
                 list(reference_towers_over_tree(dim, t1)), t1
 
-    @pytest.mark.parametrize("dim", [5, 6])
-    def test_star_lift_matches_towers_over_the_star(self, dim):
-        assert enumeration._star_classes(dim) == \
-            per_tower_classes(dim, [star(dim)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_extensions_are_mat_labeled(self, n):
+        # each class on n vertices gives 2^(n-1) labelings of K_{n+1}
+        full = (1 << (n + 1)) - 1
+        adj = [full ^ 1 << v for v in range(n + 1)]
+        for key in enumeration._enumerate_classes(n):
+            lab = enumeration._key_to_matrix(n, key)
+            children = list(enumeration._extensions(n, lab))
+            assert len(children) == 2 ** (n - 1)
+            for child in children:
+                assert [row[:n] for row in child[:n]] == lab
+                assert _bits.mat_violation(n + 1, adj, child) is None, child
 
-    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
-    def test_automorphism_group_sizes(self, dim):
-        path = [(i, i + 1) for i in range(dim - 1)]
-        assert len(enumeration._tree_automorphisms(dim, path)) == 2
-        assert len(enumeration._tree_automorphisms(dim, star(dim))) == \
-            factorial(dim - 1)
+    def test_missing_clique_is_a_defect(self):
+        # K3 with labels 1, 1, 1: the top edge's clique is not the full mask
+        lab = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        with pytest.raises(InternalDefectError, match="principal clique"):
+            list(enumeration._extensions(3, lab))
 
-    @pytest.mark.parametrize("dim", [1, 4, 5, 6])
-    def test_automorphisms_match_brute_force(self, dim):
-        for t1 in enumeration._tree_representatives(dim):
-            edges = set(t1)
-            brute = {p for p in permutations(range(dim))
-                     if {tuple(sorted((p[a], p[b]))) for a, b in t1} == edges}
-            found = enumeration._tree_automorphisms(dim, t1)
-            assert len(found) == len(brute) and set(found) == brute
+    def test_dimension_seven_names_are_pinned(self):
+        report = enumerate_mat_labelings_complete(7)
+        names = "\n".join(representative_name(7, key) for key in report.keys)
+        assert hashlib.sha256(names.encode()).hexdigest() == \
+            "47ef171b18248c8ce0e4e1e06debfe7085a86c626476fac96a9fcc4ab1646647"
 
     @pytest.mark.parametrize("n, count", [
         (1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23),
@@ -551,44 +551,30 @@ class TestEnumerationDriver:
         assert report.class_count == e_formula(dim)
         assert pool_sizes == ([] if workers is None else [workers])
 
-    def test_cli_jobs_start_no_more_workers_than_trees(self, monkeypatch,
-                                                       pool_sizes, capsys):
-        # two of the three trees on five vertices are not the star
+    def test_cli_jobs_start_no_more_workers_than_parents(self, monkeypatch,
+                                                         pool_sizes, capsys):
+        # the last step of enumerate 5 extends the two classes on four
+        # vertices
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert main(["enumerate", "5", "--jobs", "1000"]) == 0
         assert pool_sizes == [2]
         assert '"class_count": 6' in capsys.readouterr().out
 
-    def test_per_tree_debug_records(self, caplog):
+    def test_per_step_debug_records(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="matvines"):
             enumerate_mat_labelings_complete(7)
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "matvines"]
-        def total(dim, what):
-            return sum(int(re.search(rf"(\d+) {what}", m).group(1))
-                       for m in messages if m.startswith(f"enumerate d={dim},")
-                       and re.search(what, m))
-
-        for dim, classes, trees in ((6, 40, 6), (7, 560, 11)):
-            mine = [m for m in messages if m.startswith(f"enumerate d={dim},")]
-            assert len(mine) == trees
-            stars = [m for m in mine if " star: lifted " in m]
-            assert len(stars) == 1 and f"from d={dim - 1}," in stars[0]
-            assert total(dim, "classes") == classes
-        # 28,240 towers at d=7, 23,040 of them over the star
-        assert total(7, "towers") == 28240 - 23040
-        # over a tree that is not the star, isomorphic towers are exactly
-        # the orbits of its automorphism group
-        trees = [m for m in messages if " tree with degrees " in m]
-        assert trees
-        for m in trees:
-            counts = re.search(r"(\d+) orbit keys, (\d+) classes, ([\d.]+) s "
-                               r"\(towers and orbit minima ([\d.]+) s, "
-                               r"canonical keys ([\d.]+) s\)$", m)
-            assert counts, m
-            orbits, classes, seconds, tower_s, key_s = counts.groups()
-            assert orbits == classes
-            assert abs(float(seconds) - float(tower_s) - float(key_s)) <= 0.002
+        steps = {}
+        for m in messages:
+            step = re.fullmatch(r"enumerate d=(\d+): (\d+) parents, (\d+) "
+                                r"extensions, (\d+) classes, [\d.]+ s", m)
+            assert step, m
+            dim, *counts = map(int, step.groups())
+            assert dim not in steps
+            steps[dim] = tuple(counts)
+        assert steps == {2: (1, 1, 1), 3: (1, 2, 1), 4: (1, 4, 2),
+                         5: (2, 16, 6), 6: (6, 96, 40), 7: (40, 1280, 560)}
 
 
 def kirchhoff_count(n, edges):

@@ -211,6 +211,19 @@ class TestEnumerateCommand:
             assert canonical_form(mio.load_structure(f)).decode() == \
                 "5:" + ",".join(f.name[3:-5])
 
+    def test_refused_emit_leaves_no_class_file(self, capsys, tmp_path):
+        # one class's file name is taken by a directory: the other class's
+        # file must not be written either
+        outdir = tmp_path / "reps"
+        (outdir / "K4_112213.json").mkdir(parents=True)
+        before = set(tmp_path.rglob("*"))
+        assert main(["enumerate", "4", "--emit-representatives",
+                     str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert set(tmp_path.rglob("*")) == before
+
 
 class TestOtherCommands:
     def test_count_ideals_standard_kind(self, capsys):
