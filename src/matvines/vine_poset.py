@@ -215,14 +215,15 @@ class VinePoset:
         return _classify(self)
 
     def induced_subposet(self, keep: Iterable[str]) -> "VinePoset":
-        """Induced subposet with its cover relation recomputed."""
+        """Induced subposet, its covers recomputed from the kept down-sets."""
         keep_set = set(keep)
         unknown = keep_set - set(self.nodes)
         if unknown:
             raise PosetInputError(f"unknown nodes {sorted(unknown)}")
         kept = [v for v in self.nodes if v in keep_set]
-        below = [sum(1 << j for j, u in enumerate(kept) if u != v and self.leq(u, v))
-                 for v in kept]
+        bit = {self.index[v]: 1 << j for j, v in enumerate(kept)}
+        below = [sum(bit.get(i, 0) for i in iter_bits(self.down_masks[v]))
+                 ^ bit[self.index[v]] for v in kept]
         return VinePoset.build(
             [(v, self.rank_of[v], [kept[j] for j in iter_bits(c)])
              for v, c in zip(kept, _covers(below))])
@@ -541,18 +542,17 @@ def truncate(p: VinePoset, k: int, direction: str) -> VinePoset:
 def marginalize(p: VinePoset, v: str) -> tuple[VinePoset, bool]:
     """Remove a minimal node and every node whose conditioned set contains it.
 
-    Returns the induced subposet (ranks kept from ``p``) and whether those
-    ranks still form a valid rank function on it.
+    On an LR-vine those nodes are the joins of ``v`` with the other minimal
+    nodes, the nodes that :func:`omega` reads as the edges at ``v``.  Returns
+    the induced subposet (ranks kept from ``p``) and whether those ranks
+    still form a valid rank function on it.
     """
     _require(p, VineClass.LR_VINE, "marginalize")
     if v not in p.rank_of:
         raise PosetInputError(f"unknown node {v!r}")
     if p.covers_of[v]:
         raise PosetInputError(f"node {v!r} is not minimal")
-    drop = {v}
-    for x in p.nodes:
-        if p.covers_of[x] and v in cond_sets(p, x)[0]:
-            drop.add(x)
+    drop = {p.join(v, u) for u in p.minimals}
     q = p.induced_subposet([x for x in p.nodes if x not in drop])
     return q, classify(q).kind != VineClass.NOT_GRADED
 
@@ -587,25 +587,17 @@ def is_sampling_order(p: VinePoset, order: Iterable[str]) -> Verdict:
 
 
 def find_sampling_order(p: VinePoset) -> tuple[str, ...]:
-    """A sampling order, built from its end: marginalize, over and over, the
-    first minimal node (by name) whose removal keeps the vine (locally)
-    regular.  Such a node always exists, so the greedy choice never needs
-    to backtrack."""
+    """A sampling order read off the graph side: a MAT elimination ordering
+    of :func:`omega` of ``p``.  Marginalizing a minimal node is deleting a
+    MAT-simplicial vertex, so every such ordering is a sampling order (the
+    converse fails), and an LR-vine always has one."""
+    from .functors import omega
+    from .labeled_graph import find_mat_peo
     _require(p, VineClass.LR_VINE, "find_sampling_order")
-    required = (VineClass.R_VINE if classify(p).kind == VineClass.R_VINE
-                else VineClass.LR_VINE)
-    removed: list[str] = []
-    cur = p
-    while len(cur.minimals) > 1:
-        for v in sorted(cur.minimals, key=natural_key):
-            q, graded = marginalize(cur, v)
-            if graded and classify(q).kind >= required:
-                break
-        else:
-            raise InternalDefectError("no minimal node can be marginalized")
-        removed.append(v)
-        cur = q
-    return (*cur.minimals, *reversed(removed))
+    order = find_mat_peo(omega(p))
+    if order is None:
+        raise InternalDefectError("omega of an LR-vine has no MAT elimination ordering")
+    return order
 
 
 def _canonical_order(p: VinePoset) -> list[str]:

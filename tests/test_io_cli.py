@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ import matvines.io as mio
 from matvines import (GraphInputError, LabeledGraph, PosetInputError,
                       VineClass, c_vine, canonical_form, check_mat_labeling,
                       classify, d_vine, from_forest_sequence, omega, psi,
-                      to_forest_sequence)
+                      to_forest_sequence, truncate)
 from matvines.cli import main
+from test_labeled_graph import glued_mat_graph
 
 
 @pytest.fixture
@@ -265,6 +267,20 @@ class TestOtherCommands:
         code, doc = run_cli(capsys, "marginalize", str(vine_path),
                             "--node", "2", "--out", str(marg))
         assert code == 0 and doc["graded"] is False
+
+    @pytest.mark.parametrize("kind", ["truncated_c4", "glued_30"])
+    def test_found_sampling_order_passes_its_own_check(self, capsys, tmp_path,
+                                                        kind):
+        p = (truncate(c_vine(4), 3, "lower") if kind == "truncated_c4"
+             else psi(glued_mat_graph(random.Random(30), 30)))
+        path = tmp_path / "v.json"
+        mio.save_structure(p, path)
+        code, doc = run_cli(capsys, "sampling-order", str(path))
+        assert code == 0 and doc["ok"]
+        assert sorted(doc["order"]) == sorted(p.minimals)
+        code, doc = run_cli(capsys, "sampling-order", str(path),
+                            "--order", ",".join(doc["order"]))
+        assert code == 0 and doc["ok"]
 
     def test_embed(self, capsys, tmp_path, lrv_graph):
         vine_path = tmp_path / "p.json"

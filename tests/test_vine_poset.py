@@ -1,6 +1,7 @@
 """Classification and structural operations on graded posets."""
 
 import random
+import time
 from collections import Counter
 from functools import reduce
 from itertools import chain, combinations
@@ -18,10 +19,11 @@ from matvines import (ForestSequence, InternalDefectError, PosetInputError,
                       marginalize, omega, poset_isomorphism, psi,
                       random_mat_labeled_graph, root_poset_a,
                       to_forest_sequence, truncate, union_of)
-from matvines import vine_poset
+from matvines import labeled_graph, vine_poset
 from matvines._bits import iter_bits
 from matvines.vine_poset import structurally_equal, union_vine
 from conftest import five_vertex_graph
+from test_labeled_graph import glued_mat_graph
 
 
 def brute_force_ideal_count(p, mode):
@@ -79,6 +81,38 @@ def mutated(rng, p):
     else:
         items[v][0] = rank + rng.choice((-1, 1))
     return VinePoset.build([(u, r, cs) for u, (r, cs) in items.items()])
+
+
+def reference_induced_subposet(p, keep):
+    """The induced subposet by its definition: ``leq`` on every pair of kept
+    nodes, reduced to covers by ``_covers``."""
+    keep_set = set(keep)
+    kept = [v for v in p.nodes if v in keep_set]
+    below = [sum(1 << j for j, u in enumerate(kept) if u != v and p.leq(u, v))
+             for v in kept]
+    return VinePoset.build(
+        [(v, p.rank_of[v], [kept[j] for j in iter_bits(c)])
+         for v, c in zip(kept, vine_poset._covers(below))])
+
+
+def reference_marginalize(p, v):
+    """Marginalization by its definition: drop ``v`` and every node whose
+    conditioned set, from ``cond_sets``, holds ``v``."""
+    drop = {v} | {x for x in p.nodes
+                  if p.covers_of[x] and v in cond_sets(p, x)[0]}
+    q = reference_induced_subposet(p, [x for x in p.nodes if x not in drop])
+    return q, classify(q).kind != VineClass.NOT_GRADED
+
+
+def oracle_vines():
+    """c-, d- and root-poset vines of dimension at most 8 and ``psi`` of
+    seeded random graphs, each with its lower truncations."""
+    rng = random.Random(24)
+    vines = [build(d) for build in (c_vine, d_vine, root_poset_a)
+             for d in range(1, 9)]
+    vines += [psi(random_mat_labeled_graph(rng, rng.randint(1, 8)))
+              for _ in range(30)]
+    return with_lower_truncations(vines)
 
 
 class TestClassify:
@@ -401,6 +435,35 @@ class TestMarginalize:
         with pytest.raises(PosetInputError):
             marginalize(d_vine(3), "12")
 
+    def test_matches_the_conditioned_set_definition(self):
+        cases = 0
+        for p in oracle_vines():
+            for v in p.minimals:
+                # VinePoset equality compares nodes, covers and ranks
+                assert marginalize(p, v) == reference_marginalize(p, v)
+                cases += 1
+        assert cases > 1000
+
+
+class TestInducedSubposet:
+    def test_matches_pairwise_leq(self):
+        rng = random.Random(57)
+        sources = oracle_vines()
+        sources += [mutated(rng, p) for p in sources if p.rank > 1
+                    for _ in range(2)]
+        assert any(classify(p).kind < VineClass.VINE for p in sources)
+        not_closed = 0
+        for p in sources:
+            for _ in range(3):
+                keep = [v for v in p.nodes if rng.random() < 0.6]
+                rng.shuffle(keep)
+                assert p.induced_subposet(keep) == \
+                    reference_induced_subposet(p, keep)
+                kept = set(keep)
+                not_closed += any(set(p.down_set(v)) - kept for v in kept)
+            assert p.induced_subposet(p.nodes) == p
+        assert not_closed > len(sources)
+
 
 class TestSamplingOrders:
     def test_truncated_c_vine_accepts_the_known_order(self):
@@ -425,12 +488,26 @@ class TestSamplingOrders:
         for p in posets:
             assert is_sampling_order(p, find_sampling_order(p)).ok
 
-    def test_find_refuses_when_no_node_can_be_marginalized(self, monkeypatch):
-        real = vine_poset.marginalize
-        monkeypatch.setattr(vine_poset, "marginalize",
-                            lambda p, v: (real(p, v)[0], False))
-        with pytest.raises(InternalDefectError, match="can be marginalized"):
+    def test_find_refuses_when_omega_has_no_elimination_ordering(self, monkeypatch):
+        monkeypatch.setattr(labeled_graph, "find_mat_peo", lambda g: None)
+        with pytest.raises(InternalDefectError, match="no MAT elimination ordering"):
             find_sampling_order(d_vine(3))
+
+    def test_edge_cases(self):
+        assert find_sampling_order(VinePoset.build(())) == ()
+        assert find_sampling_order(d_vine(1)) == ("1",)
+
+    @pytest.mark.parametrize("kind", ["c_vine_20", "d_vine_30", "glued_60"])
+    def test_found_orders_at_scale(self, kind):
+        p = {"c_vine_20": lambda: c_vine(20),
+             "d_vine_30": lambda: d_vine(30),
+             "glued_60": lambda: psi(glued_mat_graph(random.Random(60), 60))}[kind]()
+        start = time.perf_counter()
+        order = find_sampling_order(p)
+        elapsed = time.perf_counter() - start
+        assert is_sampling_order(p, order).ok
+        # a search over marginalizations takes 0.4-0.9 s on each of these
+        assert elapsed < 0.25, f"{kind}: {elapsed:.3f} s"
 
     def test_non_permutation_rejected(self):
         with pytest.raises(PosetInputError):
