@@ -13,6 +13,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import _bits
@@ -388,38 +389,78 @@ def _extensions(n: int, lab: list[list[int]]) -> Iterator[list[list[int]]]:
         yield [row + [x] for row, x in zip(lab, new)] + [new + [0]]
 
 
-def _extension_keys(n: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The canonical key of each extension of the class ``key`` of K_n."""
-    return [_canonical_key(n + 1, child)
-            for child in _extensions(n, _key_to_matrix(n, key))]
+def _certificate(lab: list[list[int]], v: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``lab`` with the vertices in the order of their labels
+    from ``v``, an end of the top edge: ``v`` carries the labels 0..n to
+    the n + 1 vertices, each once, so the order is fixed by the rooted
+    graph, and two rooted graphs are isomorphic exactly when their
+    certificates are equal."""
+    order = sorted(range(len(lab)), key=lab[v].__getitem__)
+    get = itemgetter(*order)
+    if get(lab[v]) != tuple(range(len(lab))):
+        raise InternalDefectError(
+            f"the label row {lab[v]} of an end of the top edge is not a "
+            f"permutation of 0..{len(lab) - 1}")
+    return tuple(get(lab[p]) for p in order)
+
+
+def _accepted(n: int, lab: list[list[int]]) -> list[list[list[int]]]:
+    """The extensions of ``lab`` that canonical augmentation keeps: those
+    whose new vertex n has a certificate no greater than the other end of
+    the top edge, one per certificate."""
+    kept = {}
+    for child in _extensions(n, lab):
+        cert = _certificate(child, n)
+        if cert not in kept and cert <= _certificate(child, child[n].index(n)):
+            kept[cert] = child
+    return list(kept.values())
+
+
+def _accepted_keys(n: int, lab: list[list[int]]) -> list[tuple[int, ...]]:
+    """The canonical key of each kept extension of ``lab``."""
+    return [_canonical_key(n + 1, child) for child in _accepted(n, lab)]
 
 
 def _enumerate_classes(dimension: int, jobs: int = 1) -> set[tuple[int, ...]]:
     """Canonical keys of the labelings of the complete graph, one per class.
 
-    Deleting an end of the top node's edge leaves a labeling of K_n, so the
-    classes of K_{n+1} are the keys of the extensions of those of K_n.  The
-    last step splits its parents over at most ``jobs`` processes (and no
-    more than parents or cores); each step logs its counts at DEBUG level.
+    Deleting an end of the top node's edge leaves a labeling of K_n, so
+    every class of K_{n+1} extends one of K_n.  Canonical augmentation
+    (B. D. McKay, J. Algorithms 26, 1998) keeps an extension only when its
+    new vertex is the end of the top edge with the lesser certificate, and
+    only one extension per certificate of each parent; then each class is
+    kept from exactly one parent, and no step holds a global set.  The
+    kept label matrices are the next step's parents, and only the last
+    step computes canonical keys, one per class.  It splits its parents
+    over at most ``jobs`` processes (and no more than parents or cores);
+    each step logs its counts at DEBUG level.
     """
-    keys: set[tuple[int, ...]] = {()}  # the one-vertex graph has no pairs
+    if dimension == 1:
+        return {()}  # the one-vertex graph has no pairs
+    parents: list = [[[0]]]
     for n in range(1, dimension):
         start = time.perf_counter()
-        parents = sorted(keys)
+        last = n == dimension - 1
+        work = _accepted_keys if last else _accepted
         workers = min(jobs, len(parents), os.cpu_count() or 1)
-        if n == dimension - 1 and workers > 1:
+        if last and workers > 1:
             # parents are independent and set union is order-insensitive,
             # so the result does not depend on scheduling
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_extension_keys, [n] * len(parents),
-                                      parents))
+                parts = list(pool.map(work, [n] * len(parents), parents))
         else:
-            parts = [_extension_keys(n, key) for key in parents]
-        keys = set().union(*parts)
+            parts = [work(n, lab) for lab in parents]
+        children = [child for part in parts for child in part]
         logger.debug("enumerate d=%d: %d parents, %d extensions, %d classes, "
-                     "%.3f s", n + 1, len(parents), sum(map(len, parts)),
-                     len(keys), time.perf_counter() - start)
+                     "%.3f s", n + 1, len(parents), len(parents) << n - 1,
+                     len(children), time.perf_counter() - start)
+        parents = children
+    keys = set(parents)  # the last step kept keys, not matrices
+    if len(keys) != len(parents):
+        raise InternalDefectError(
+            f"canonical augmentation kept {len(parents)} labelings of "
+            f"K{dimension} for {len(keys)} classes")
     return keys
 
 
@@ -463,8 +504,9 @@ def enumerate_mat_labelings_complete(
 
     The classes grow one vertex at a time from the one-vertex graph: each
     class on n vertices is extended by a vertex whose labels follow a chain
-    of its vine from the top node down to a minimal node, and the canonical
-    keys of the extensions are the classes on n + 1 vertices.  The report
+    of its vine from the top node down to a minimal node, and canonical
+    augmentation keeps one extension per class on n + 1 vertices, so the
+    canonical key is computed once per class of the last step.  The report
     holds the keys in ascending order, and ``representatives`` builds one
     graph per key on first use.  ``jobs`` (at least 1) bounds the worker
     processes for the last step.  Dimensions above

@@ -221,9 +221,22 @@ class VinePoset:
         if unknown:
             raise PosetInputError(f"unknown nodes {sorted(unknown)}")
         kept = [v for v in self.nodes if v in keep_set]
-        bit = {self.index[v]: 1 << j for j, v in enumerate(kept)}
-        below = [sum(bit.get(i, 0) for i in iter_bits(self.down_masks[v]))
-                 ^ bit[self.index[v]] for v in kept]
+        # each run [lo, hi) of dropped positions, highest first, as the
+        # mask of the positions below it and its width
+        gone = sum(1 << i for i, v in enumerate(self.nodes)
+                   if v not in keep_set)
+        runs = []
+        while gone:
+            hi = gone.bit_length()
+            lo = (~gone & (1 << hi) - 1).bit_length()
+            runs.append(((1 << lo) - 1, hi - lo))
+            gone &= (1 << lo) - 1
+        below = []
+        for j, v in enumerate(kept):
+            mask = self.down_masks[v]
+            for low, width in runs:
+                mask = mask >> width & ~low | mask & low
+            below.append(mask ^ 1 << j)
         return VinePoset.build(
             [(v, self.rank_of[v], [kept[j] for j in iter_bits(c)])
              for v, c in zip(kept, _covers(below))])

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-The dimension-8 enumeration takes about 4-6 s (2 shared vCPUs, Python 3.11)
+The dimension-8 enumeration takes about 3.5-5 s (2 shared vCPUs, Python 3.11)
 and runs only when MATVINES_RUN_L8 is set in the environment.
 """
 
@@ -47,7 +47,7 @@ def test_criterion_1_enumeration_sequence(class_counts):
 
 
 @pytest.mark.skipif(not os.environ.get("MATVINES_RUN_L8"),
-                    reason="about 4-6 s; set MATVINES_RUN_L8=1 to enable")
+                    reason="about 3.5-5 s; set MATVINES_RUN_L8=1 to enable")
 def test_criterion_1_dimension_eight():
     report = enumerate_mat_labelings_complete(8, allow_large=True)
     assert report.class_count == 17024

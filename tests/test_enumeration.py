@@ -459,6 +459,34 @@ def reference_towers_over_tree(dimension, t1_edges):
     yield from descend(child_masks, u_masks, 2)
 
 
+def children_up_to(dimension):
+    """``(n, child)`` for every extension of every class of K_n, n below
+    ``dimension``."""
+    for n in range(1, dimension):
+        for key in enumeration._enumerate_classes(n):
+            lab = enumeration._key_to_matrix(n, key)
+            for child in enumeration._extensions(n, lab):
+                yield n, child
+
+
+def rooted_key(lab, v):
+    """Canonical key of ``lab`` with a pendant vertex on ``v`` by a label no
+    other pair has, so equal exactly for isomorphic graphs rooted at ``v``."""
+    n = len(lab)
+    mark = [0] * n
+    mark[v] = 1 + max(map(max, lab))
+    marked = [row + [x] for row, x in zip(lab, mark)] + [mark + [0]]
+    return enumeration._canonical_key(n + 1, marked)
+
+
+def assert_bijection(pairs):
+    """Each first item of ``pairs`` goes with one second item, and back."""
+    forward, backward = {}, {}
+    for a, b in pairs:
+        assert forward.setdefault(a, b) == b, a
+        assert backward.setdefault(b, a) == a, b
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count it is
     asked for and runs the work in this process, starting none."""
@@ -514,6 +542,53 @@ class TestEnumerationDriver:
         lab = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         with pytest.raises(InternalDefectError, match="principal clique"):
             list(enumeration._extensions(3, lab))
+
+    def test_certificates_match_the_canonical_key(self):
+        # rooted at the new vertex, the certificate identifies the rooted
+        # graph; the lesser of the two ends' certificates identifies the graph
+        rooted, unrooted = [], []
+        for n, child in children_up_to(7):
+            b = child[n].index(n)
+            for v in (n, b):
+                assert sorted(child[v]) == list(range(n + 1))
+            cert = enumeration._certificate(child, n)
+            rooted.append((cert, rooted_key(child, n)))
+            unrooted.append((min(cert, enumeration._certificate(child, b)),
+                             enumeration._canonical_key(n + 1, child)))
+        assert_bijection(rooted)
+        assert_bijection(unrooted)
+        assert len(dict(unrooted)) == sum(map(e_formula, range(2, 8)))
+
+    def test_non_permutation_row_is_a_defect(self):
+        # K3 with labels 1, 1, 1: no vertex carries the labels 1 and 2
+        lab = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        with pytest.raises(InternalDefectError, match="permutation"):
+            enumeration._certificate(lab, 0)
+
+    def test_each_class_is_kept_once(self):
+        # every class is reached (test_matches_per_tower_route), so as many
+        # kept extensions as classes means each is kept exactly once
+        parents = [[[0]]]
+        for n, count in zip(range(1, 7), [1, 1, 2, 6, 40, 560]):
+            parents = [child for lab in parents
+                       for child in enumeration._accepted(n, lab)]
+            assert len(parents) == count == e_formula(n + 1)
+
+    def test_one_canonical_key_per_class(self, monkeypatch):
+        calls = []
+        key = enumeration._canonical_key
+        monkeypatch.setattr(enumeration, "_canonical_key",
+                            lambda n, lab: calls.append(n) or key(n, lab))
+        assert enumerate_mat_labelings_complete(7).class_count == 560
+        assert calls == [7] * 560
+
+    def test_a_class_kept_twice_is_a_defect(self, monkeypatch):
+        # the last step of enumerate 4 keeps each class on four vertices twice
+        accepted = enumeration._accepted
+        monkeypatch.setattr(enumeration, "_accepted",
+                            lambda n, lab: (1 + (n == 3)) * accepted(n, lab))
+        with pytest.raises(InternalDefectError, match="kept 4 labelings"):
+            enumeration._enumerate_classes(4)
 
     def test_dimension_seven_names_are_pinned(self):
         report = enumerate_mat_labelings_complete(7)
