@@ -36,6 +36,7 @@ def shortest_path(adj: list[int], start: int, goal: int) -> list[int] | None:
     chordless.
     """
     prev = {start: -1}
+    seen = 1 << start
     frontier = [start]
     while frontier:
         nxt = []
@@ -46,10 +47,13 @@ def shortest_path(adj: list[int], start: int, goal: int) -> list[int] | None:
                     path.append(prev[path[-1]])
                 path.reverse()
                 return path
-            for u in iter_bits(adj[v]):
-                if u not in prev:
-                    prev[u] = v
-                    nxt.append(u)
+            new = adj[v] & ~seen
+            seen |= new
+            while new:
+                u = (new & -new).bit_length() - 1
+                prev[u] = v
+                nxt.append(u)
+                new &= new - 1
         frontier = nxt
     return None
 

@@ -356,89 +356,59 @@ def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
 
 
 def merge_complete(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Complete graph on the vertex union restricting to both inputs.
-
-    The inputs are glued over their shared complete subgraph and the vine of
-    the glued graph is grown into a regular vine (:func:`_grow_to_complete`).
-    """
+    """Complete graph on the vertex union restricting to both inputs: the
+    inputs glued over their shared complete subgraph, then completed by
+    :func:`extend_to_complete`."""
     glued = glue(g1, g2)
     for tag, g in (("first", g1), ("second", g2)):
         if not g.is_complete():
             raise PreconditionError(f"{tag} input is not a complete graph")
-    return _grow_to_complete(glued)
+    return extend_to_complete(glued)
 
 
 def extend_to_complete(g: LabeledGraph) -> LabeledGraph:
     """Complete graph on the same vertices whose restriction equals ``g``.
 
-    The vine of ``g`` is an ideal of a regular vine; that vine is grown
-    level by level (:func:`_grow_to_complete`) and its labeled graph is the
-    completion.  Where the completion is not unique, the vertex order
-    decides which one is returned.  An invalid labeling is refused by
-    :func:`principal_cliques`, the first step of the growth.
+    The vine of ``g`` is an ideal of a regular vine, grown here one vertex
+    at a time in the order of :func:`find_mat_peo` by the rule of
+    :func:`matvines.enumeration._extensions`.  Let N be the new vertex v's
+    neighbours among those placed.  From the top node (every placed
+    vertex) a walk goes down: at a node of r vertices, an end of its edge
+    outside N leaves and gets the label r from v, until N is left, or
+    until one vertex is left when N is empty, and it gets the label 1.
+    The edges to N keep their labels.  Then the node of the edge from v to
+    its label j is v with its labels 1..j.  Where the completion is not
+    unique, the vertex order decides which one is returned.
     """
-    out = _grow_to_complete(g)
-    for e, k in g.labels.items():
-        if out.labels[e] != k:
-            raise InternalDefectError("extension does not restrict to the input")
-    return out
-
-
-def _grow_to_complete(g: LabeledGraph) -> LabeledGraph:
-    """The labeled graph of a regular vine that has the vine of ``g`` as an
-    ideal.
-
-    Sets are vertex bitmasks.  The rank-r sets (the principal cliques of r
-    vertices) are the edges of a forest on the rank-(r-1) sets, each joining
-    its two children.  Rank by rank that forest is grown into a tree: its
-    components are joined by pairs of rank-(r-1) sets that share a child
-    (the proximity condition; at rank 2 any two vertices).  The union of
-    such a pair is a new rank-r set, and its conditioned pair, the symmetric
-    difference, gets label r-1.  The pairs that share a child are the edges
-    of the line graph of the completed tree one rank down, which is
-    connected, so every forest grows into a tree.
-    """
-    names = g.vertices
-    bit = {v: 1 << i for i, v in enumerate(names)}
-    sets_of_rank: dict[int, dict[int, int]] = {}
-    for (u, v), clique in principal_cliques(g).items():
-        sets_of_rank.setdefault(len(clique), {})[
-            sum(bit[w] for w in clique)] = bit[u] | bit[v]
-    conditioned = {pair for level in sets_of_rank.values() for pair in level.values()}
-    added = []
-    lower = dict.fromkeys(bit.values(), 0)
-    for r in range(2, len(names) + 1):
-        level = sets_of_rank.get(r, {})
-        parent = {s: s for s in lower}
-        if r == 2:
-            sharing = {0: list(lower)}   # any two vertices may be joined
-        else:
-            sharing: dict[int, list[int]] = {}
-            for s, pair in lower.items():
-                low = pair & -pair
-                for child in (s ^ low, s ^ pair ^ low):
-                    sharing.setdefault(child, []).append(s)
-        for s, pair in level.items():
-            low = pair & -pair
-            parent[_bits.find(parent, s ^ low)] = _bits.find(parent, s ^ pair ^ low)
-        for first, *others in sharing.values():
-            for s in others:
-                a, b = _bits.find(parent, first), _bits.find(parent, s)
-                if a == b:
-                    continue
-                parent[a] = b
-                pair = first ^ s
-                x, y = (names[t] for t in _bits.iter_bits(pair))
-                if pair in conditioned:
-                    raise InternalDefectError(f"pair ({x}, {y}) would be conditioned twice")
-                conditioned.add(pair)
-                level[first | s] = pair
-                added.append((x, y, r - 1))
-        if len(level) != len(lower) - 1:
-            raise InternalDefectError(f"level {r - 1} of the vine did not grow into a tree")
-        lower = level
-    out = LabeledGraph.build(names, [(u, v, k) for (u, v), k in g.labels.items()] + added)
+    verdict = check_mat_labeling(g)
+    if not verdict.ok:
+        raise PreconditionError(f"graph is not MAT-labeled: {verdict.violation}")
+    n, adj, lab = g._bit_form()
+    order = _bits.find_mat_peo(n, adj, lab)
+    if order is None:
+        raise InternalDefectError("a MAT-labeled graph has no elimination ordering")
+    edge_of: dict[int, tuple[int, int]] = {}   # node mask -> its edge; (u, u) for {u}
+    placed = 0
+    for v in order:
+        nb, mask = adj[v] & placed, placed
+        for r in range(placed.bit_count(), nb.bit_count(), -1):
+            if mask not in edge_of:
+                raise InternalDefectError(f"no edge has the principal clique {mask:#b}")
+            a, b = edge_of[mask]
+            # were b a neighbour too, the restriction check below would fail
+            leave = b if nb >> a & 1 else a
+            lab[v][leave] = lab[leave][v] = r
+            mask ^= 1 << leave
+        node = 0
+        for u in [v, *sorted(_bits.iter_bits(placed), key=lab[v].__getitem__)]:
+            node |= 1 << u
+            edge_of[node] = (v, u)
+        placed |= 1 << v
+    out = LabeledGraph._from_matrix(g.vertices, lab)
     verdict = check_mat_labeling(out)
     if not verdict.ok:
         raise InternalDefectError(f"completed graph failed validation: {verdict.violation}")
+    for e, k in g.labels.items():
+        if out.labels[e] != k:
+            raise InternalDefectError("extension does not restrict to the input")
     return out

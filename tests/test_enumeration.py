@@ -19,6 +19,7 @@ from matvines import (GraphInputError, InternalDefectError, LabeledGraph,
                       a047970, are_isomorphic, are_isomorphic_vines,
                       canonical_form, catalan, e_formula,
                       enumerate_mat_labelings_complete, check_mat_labeling,
+                      extend_to_complete,
                       mat_sc_agreement, omega, poset_isomorphism, psi,
                       random_chordal_graph, random_mat_labeled_graph,
                       root_poset_a)
@@ -542,6 +543,17 @@ class TestEnumerationDriver:
         lab = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         with pytest.raises(InternalDefectError, match="principal clique"):
             list(enumeration._extensions(3, lab))
+
+    @pytest.mark.parametrize("order", [None, [2, 0, 4, 1, 3]])
+    def test_completion_without_an_elimination_ordering_is_a_defect(
+            self, monkeypatch, order):
+        # the completion grows by the same rule along find_mat_peo's order;
+        # no order, or one that is not an elimination ordering, is a defect
+        names = [f"p{i}" for i in range(5)]
+        path = LabeledGraph.build(names, [(names[i], names[i + 1], 1) for i in range(4)])
+        monkeypatch.setattr(_bits, "find_mat_peo", lambda *args: order)
+        with pytest.raises(InternalDefectError):
+            extend_to_complete(path)
 
     def test_certificates_match_the_canonical_key(self):
         # rooted at the new vertex, the certificate identifies the rooted

@@ -781,13 +781,21 @@ class TestExtendToComplete:
 
     def test_random_instances(self):
         rng = random.Random(5)
-        for _ in range(20):
-            g = random_mat_labeled_graph(rng, rng.randint(2, 8))
+        graphs = [random_mat_labeled_graph(rng, rng.randint(2, 8)) for _ in range(20)]
+        # edgeless graphs, two components, an isolated vertex, and large draws
+        graphs += [LabeledGraph.build([f"x{i}" for i in range(n)], []) for n in range(5)]
+        graphs += [LabeledGraph.build("abcde", [("a", "b", 1), ("c", "d", 1), ("d", "e", 1),
+                                                ("c", "e", 2)]),
+                   LabeledGraph.build("abcd", [("a", "b", 1), ("b", "c", 1), ("a", "c", 2)])]
+        graphs += [glued_mat_graph(rng, n) for n in (30, 60)]
+        for g in graphs:
             out = extend_to_complete(g)
             assert out.is_complete()
             assert check_mat_labeling(out).ok
             for e, k in g.labels.items():
                 assert out.labels[e] == k
+            if g.vertices:
+                assert classify(psi(out)).kind == VineClass.R_VINE
 
 
 class TestCompletionProperties:
