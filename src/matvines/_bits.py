@@ -81,6 +81,19 @@ def forest_cycle(n: int, edges, queries=()):
     return None
 
 
+def principal_clique(adj: list[int], lab: list[list[int]], a: int, b: int) -> int:
+    """Vertex mask of the edge ab's node in the vine: a, b and the common
+    neighbours that both reach by labels below the edge's own."""
+    k, la, lb = lab[a][b], lab[a], lab[b]
+    clique, common = 1 << a | 1 << b, adj[a] & adj[b]
+    while common:  # inline, as iter_bits' generator slows the ML2 check by 10 %
+        w = (common & -common).bit_length() - 1
+        if la[w] < k and lb[w] < k:
+            clique |= 1 << w
+        common &= common - 1
+    return clique
+
+
 def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
     """First violated labeling axiom, or None.
 
@@ -90,8 +103,7 @@ def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
     """
     by_label: dict[int, list[tuple[int, int]]] = {}
     for i in range(n):
-        ai = adj[i]
-        for j in iter_bits(ai >> (i + 1) << (i + 1)):
+        for j in iter_bits(adj[i] >> (i + 1) << (i + 1)):
             by_label.setdefault(lab[i][j], []).append((i, j))
     lower: list[tuple[int, int]] = []
     for k in sorted(by_label):
@@ -99,10 +111,7 @@ def mat_violation(n: int, adj: list[int], lab: list[list[int]]):
         if hit is not None:
             return ("ML1", hit[0], tuple(hit[1]))
         for (u, v) in by_label[k]:
-            cond = 0
-            for w in iter_bits(adj[u] & adj[v]):
-                if lab[u][w] < k and lab[v][w] < k:
-                    cond += 1
+            cond = principal_clique(adj, lab, u, v).bit_count() - 2
             if cond != k - 1:
                 return ("ML2", (u, v), cond)
         lower += by_label[k]

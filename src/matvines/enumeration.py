@@ -371,10 +371,9 @@ def _extensions(n: int, lab: list[list[int]]) -> Iterator[list[list[int]]]:
     the principal clique (a vertex mask) of one edge, whose end that leaves
     for the node below gets the label r, and the vertex of the minimal node
     at the bottom gets the label 1."""
-    edge_of = {}
-    for a, b in combinations(range(n), 2):
-        below = [w for w in range(n) if lab[w][a] < lab[a][b] > lab[w][b]]
-        edge_of[sum(1 << w for w in [a, b, *below])] = (a, b)
+    adj = [(1 << n) - 1 ^ 1 << v for v in range(n)]
+    edge_of = {_bits.principal_clique(adj, lab, a, b): (a, b)
+               for a, b in combinations(range(n), 2)}
     for ends in range(1 << n - 1):
         new = [0] * n
         mask = (1 << n) - 1

@@ -217,8 +217,8 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: LabeledGraph, name: str = "mat_graph") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: LabeledGraph) -> str:
+    lines = ["graph mat_graph {"]
     for v in g.vertices:
         lines.append(f"  {_quote(v)};")
     for (u, v), k in sorted(g.labels.items()):
@@ -227,9 +227,9 @@ def graph_to_dot(g: LabeledGraph, name: str = "mat_graph") -> str:
     return "\n".join(lines) + "\n"
 
 
-def vine_to_dot(p: VinePoset, name: str = "vine") -> str:
+def vine_to_dot(p: VinePoset) -> str:
     """Hasse diagram with rank-based layering hints."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  edge [dir=none];"]
+    lines = ["digraph vine {", "  rankdir=BT;", "  edge [dir=none];"]
     for level in sorted(p.levels):
         members = " ".join(_quote(v) + ";"
                            for v in sorted(p.levels[level], key=natural_key))

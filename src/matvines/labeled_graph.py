@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import _bits
@@ -238,10 +237,10 @@ def find_mat_peo(g: LabeledGraph) -> Ordering | None:
 
 def principal_clique(g: LabeledGraph, u: str, v: str) -> frozenset[str]:
     """Endpoints of an edge plus its conditioning vertices."""
-    k = g.label_of(u, v)
-    nb_u, nb_v = g.adjacency[u], g.adjacency[v]
-    cond = {w for w in nb_u if w in nb_v and nb_u[w] < k and nb_v[w] < k}
-    return frozenset({u, v} | cond)
+    g.label_of(u, v)  # raises GraphInputError when uv is no edge
+    _, adj, lab = g._bit_form()
+    mask = _bits.principal_clique(adj, lab, g.vertices.index(u), g.vertices.index(v))
+    return frozenset(g.vertices[i] for i in _bits.iter_bits(mask))
 
 
 def principal_cliques(g: LabeledGraph) -> dict[tuple[str, str], frozenset[str]]:
@@ -253,16 +252,20 @@ def principal_cliques(g: LabeledGraph) -> dict[tuple[str, str], frozenset[str]]:
     verdict = check_mat_labeling(g)
     if not verdict.ok:
         raise PreconditionError(f"graph is not MAT-labeled: {verdict.violation}")
+    _, adj, lab = g._bit_form()
     out = {}
     for (u, v), k in g.labels.items():
-        clique = principal_clique(g, u, v)
-        for a, b in combinations(sorted(clique), 2):
-            if not g.has_edge(a, b):
-                raise InternalDefectError(f"principal set of ({u}, {v}) is not a clique")
-            if (a, b) != _norm_edge(u, v) and g.label_of(a, b) >= k:
-                raise InternalDefectError(
-                    f"principal clique of ({u}, {v}) contains a label >= {k}")
-        out[_norm_edge(u, v)] = clique
+        i, j = g.vertices.index(u), g.vertices.index(v)
+        clique = _bits.principal_clique(adj, lab, i, j)
+        members = list(_bits.iter_bits(clique))
+        if any(clique & ~adj[a] & ~(1 << a) for a in members):
+            raise InternalDefectError(f"principal set of ({u}, {v}) is not a clique")
+        # every pair in the clique but the edge itself has an end other than i, j
+        if any(max(map(lab[a].__getitem__, members)) >= k
+               for a in members if a != i and a != j):
+            raise InternalDefectError(
+                f"principal clique of ({u}, {v}) contains a label >= {k}")
+        out[(u, v)] = frozenset(map(g.vertices.__getitem__, members))
     return out
 
 

@@ -91,28 +91,21 @@ class VinePoset:
 
     @cached_property
     def _children_first(self) -> tuple[str, ...]:
-        """Every node, each after all the nodes it covers; raises
-        :class:`PosetInputError` when the cover relation has a cycle."""
-        state: dict[str, int] = {}
-        order: list[str] = []
-        for v in self.nodes:
-            if v in state:
-                continue
-            stack = [(v, iter(self.covers_of[v]))]
-            state[v] = 1
-            while stack:
-                node, it = stack[-1]
-                for c in it:
-                    if state.get(c, 0) == 1:
-                        raise PosetInputError("cover relation contains a cycle")
-                    if c not in state:
-                        state[c] = 1
-                        stack.append((c, iter(self.covers_of[c])))
-                        break
-                else:
-                    state[node] = 2
-                    order.append(node)
-                    stack.pop()
+        """Every node, each after all the nodes it covers (Kahn's algorithm);
+        raises :class:`PosetInputError` when the cover relation has a cycle."""
+        parents: dict[str, list[str]] = {v: [] for v in self.nodes}
+        for v, cs in zip(self.nodes, self.covers):
+            for c in cs:
+                parents[c].append(v)
+        waiting = dict(zip(self.nodes, map(len, self.covers)))
+        order = [v for v in self.nodes if not waiting[v]]
+        for v in order:  # the loop also visits the nodes it appends
+            for u in parents[v]:
+                waiting[u] -= 1
+                if not waiting[u]:
+                    order.append(u)
+        if len(order) != len(self.nodes):
+            raise PosetInputError("cover relation contains a cycle")
         return tuple(order)
 
     @cached_property
@@ -623,8 +616,8 @@ def _canonical_order(p: VinePoset) -> list[str]:
     return sorted(p.nodes, key=lambda v: (height[v], natural_key(v)))
 
 
-def _ideal_walk(p: VinePoset, mode: str) -> Iterator[list[int]]:
-    """Depth-first two-way split over the nodes in canonical order: the first
+def _ideal_walk(p: VinePoset, mode: str, order: list[str]) -> Iterator[list[int]]:
+    """Depth-first two-way split over the canonical ``order`` of ``p``: the first
     undecided node is left out with every node above it, or taken in.
     Yields the shared ascending list of the positions taken once per ideal.
 
@@ -635,7 +628,6 @@ def _ideal_walk(p: VinePoset, mode: str) -> Iterator[list[int]]:
     """
     if mode not in ("all", "full_support"):
         raise PosetInputError(f"unknown mode {mode!r}")
-    order = _canonical_order(p)
     pos = {v: t for t, v in enumerate(order)}
     up = [0] * len(order)
     for t in reversed(range(len(order))):
@@ -665,13 +657,13 @@ def iter_ideals(p: VinePoset, mode: str = "all") -> Iterator[tuple[str, ...]]:
     containing every minimal node.
     """
     order = _canonical_order(p)
-    for taken in _ideal_walk(p, mode):
+    for taken in _ideal_walk(p, mode, order):
         yield tuple(map(order.__getitem__, taken))
 
 
 def count_ideals(p: VinePoset, mode: str = "all") -> int:
     """Number of ideals :func:`iter_ideals` streams in the same mode."""
-    return sum(1 for _ in _ideal_walk(p, mode))
+    return sum(1 for _ in _ideal_walk(p, mode, _canonical_order(p)))
 
 
 def _union_key(union: frozenset[str]) -> tuple[int, list[str]]:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matvines._bits as bits
-from matvines import (GraphInputError, Graph, LabeledGraph, PreconditionError,
-                      VineClass, c_vine, check_mat_labeling, classify,
+from matvines import (GraphInputError, Graph, InternalDefectError, LabeledGraph,
+                      PreconditionError, VineClass, c_vine, check_mat_labeling, classify,
                       d_vine, embed_in_r_vine, extend_to_complete,
                       find_mat_labeling, find_mat_peo, glue,
                       is_mat_simplicial, is_strongly_chordal, maximal_cliques,
@@ -312,6 +312,44 @@ class TestPrincipalCliques:
     def test_requires_valid_labeling(self):
         g = LabeledGraph.build(["a", "b"], [("a", "b", 2)])
         with pytest.raises(PreconditionError):
+            principal_cliques(g)
+
+    def test_kernel_matches_the_definition(self):
+        # every edge of random graphs on at most 8 vertices, labeled validly
+        # or at random: the ends plus the common neighbours that both ends
+        # reach by labels below the edge's own
+        rng = random.Random(27)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            if rng.random() < 0.5:
+                g = random_mat_labeled_graph(rng, n)
+            else:
+                names = [str(i) for i in range(n)]
+                g = LabeledGraph.build(names, [(u, v, rng.randint(1, n))
+                                               for u, v in combinations(names, 2)
+                                               if rng.random() < 0.7])
+            _, adj, lab = g._bit_form()
+            for (u, v), k in g.labels.items():
+                nb_u, nb_v = g.adjacency[u], g.adjacency[v]
+                expected = {u, v} | {w for w in nb_u
+                                     if w in nb_v and nb_u[w] < k and nb_v[w] < k}
+                mask = bits.principal_clique(adj, lab, g.vertices.index(u),
+                                             g.vertices.index(v))
+                assert {g.vertices[i] for i in bits.iter_bits(mask)} == expected
+                assert principal_clique(g, u, v) == expected
+
+    @pytest.mark.parametrize("graph, message", [
+        ("lrv_graph", r"principal set of \(v\d, v\d\) is not a clique"),
+        ("d4_graph", r"principal clique of \(v\d, v\d\) contains a label >= \d"),
+    ], ids=["not-a-clique", "label-at-least-k"])
+    def test_a_wrong_kernel_is_a_defect(self, request, monkeypatch, graph, message):
+        # a kernel that answers with every vertex gives a non-clique on the
+        # five-vertex graph, and on K4 a clique holding labels >= k
+        g = request.getfixturevalue(graph)
+        assert check_mat_labeling(g).ok  # the verdict is kept on the graph
+        monkeypatch.setattr(bits, "principal_clique",
+                            lambda adj, lab, a, b: (1 << len(adj)) - 1)
+        with pytest.raises(InternalDefectError, match=message):
             principal_cliques(g)
 
 
